@@ -19,6 +19,7 @@ from .capacity import (
     verify_ensemble_achievability,
 )
 from .channel import (
+    FAMILIES,
     ChannelParams,
     PauliChannel,
     Thresholds,
@@ -32,8 +33,6 @@ from .channel import (
     epsilon_vector,
     mp_channel,
     ordering,
-    threshold_ml,
-    threshold_star,
     thresholds,
 )
 from .errors import (
@@ -68,6 +67,7 @@ from .states import (
     product_optimal_state,
     random_pure_params,
     state_vector,
+    state_vectors,
     weights_to_density,
 )
 

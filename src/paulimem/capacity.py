@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelParams, PauliChannel, apply_channel, channel_params
-from .errors import InvalidSpectrum, InvalidState, OutOfRange
+from .errors import InvalidSpectrum, InvalidState
 from .pauli import PAULI2
 
 _SPECTRUM_TOL = 1e-9
@@ -123,14 +123,22 @@ class CapacityResult:
             "entropy_bell": self.entropy_bell,
             "lambdas_product": [float(x) for x in self.lambdas_product],
             "lambdas_bell": [float(x) for x in self.lambdas_bell],
-            "mu_ml": _json_float(self.mu_ml),
-            "mu_star": _json_float(self.mu_star),
+            "mu_ml": json_float(self.mu_ml),
+            "mu_star": json_float(self.mu_star),
             "optimal_state": self.optimal_state_descriptor,
         }
 
 
-def _json_float(x: float):
+def json_float(x: float):
+    """x as a JSON number; NaN and infinities, which JSON cannot hold, become null."""
     return float(x) if np.isfinite(x) else None
+
+
+def format_number(x) -> str:
+    """CSV text of one value: true/false for booleans, else 12 significant digits."""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    return format(float(x) + 0.0, ".12g")  # + 0.0 normalizes -0.0
 
 
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
@@ -167,21 +175,15 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
         entropy_product=s_p,
         entropy_bell=s_b,
         c2=c2,
-        mu_ml=cp.mu_ml,
-        mu_star=cp.mu_star,
+        mu_ml=cp.thresholds.mu_ml,
+        mu_star=cp.thresholds.mu_star,
         optimal_state_descriptor=descriptor,
     )
 
 
 def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
     """Capacity at every memory value of the grid, with q held fixed."""
-    results = []
-    for mu in mu_grid:
-        mu = float(mu)
-        if not 0.0 <= mu <= 1.0:
-            raise OutOfRange(f"memory value outside [0, 1]: {mu}")
-        results.append(capacity_two_use(channel_base.with_mu(mu)))
-    return results
+    return [capacity_two_use(channel_base.with_mu(mu)) for mu in mu_grid]
 
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> list[np.ndarray]:
@@ -223,22 +225,18 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
     return deviation
 
 
-def _csv_num(x: float) -> str:
-    return format(float(x) + 0.0, ".12g")  # + 0.0 normalizes -0.0
-
-
 def sweep_to_csv(results: list[CapacityResult]) -> str:
     """Fixed-schema CSV of a sweep; l1..l4 hold the winning branch spectrum."""
     lines = [SWEEP_CSV_HEADER]
     for r in results:
         cells = [
-            _csv_num(r.mu),
+            format_number(r.mu),
             r.regime.value,
-            _csv_num(r.c2),
-            _csv_num(r.entropy_product),
-            _csv_num(r.entropy_bell),
+            format_number(r.c2),
+            format_number(r.entropy_product),
+            format_number(r.entropy_bell),
         ]
-        cells.extend(_csv_num(x) for x in r.winning_spectrum())
+        cells.extend(format_number(x) for x in r.winning_spectrum())
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

@@ -85,6 +85,10 @@ def mp_channel(p: float, mu: float) -> PauliChannel:
     return PauliChannel((p, 0.5 - p, 0.5 - p, p), mu)
 
 
+FAMILIES = {"depolarizing": depolarizing, "mp": mp_channel}
+"""Named one-parameter channel families: name -> constructor(p, mu)."""
+
+
 def epsilon_vector(channel: PauliChannel) -> np.ndarray:
     """Signed error sums eps_n = sum_k q_k s_kn; eps_0 is identically 1.
 
@@ -111,11 +115,7 @@ def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
     """
     eps = epsilon_vector(channel)
     mu = channel.mu
-    out = np.empty((4, 4))
-    for k in range(4):
-        for kp in range(4):
-            out[k, kp] = (1.0 - mu) * eps[k] * eps[kp] + mu * eps[PRODUCT_INDEX[k, kp]]
-    return out
+    return (1.0 - mu) * eps[:, None] * eps[None, :] + mu * eps[PRODUCT_INDEX]
 
 
 def epsilon_matrix_bruteforce(channel: PauliChannel) -> np.ndarray:
@@ -191,16 +191,6 @@ def thresholds(channel: PauliChannel) -> Thresholds:
     return Thresholds(_clamp01(mu_ml_raw), _clamp01(mu_star_raw), mu_ml_raw, mu_star_raw)
 
 
-def threshold_ml(channel: PauliChannel) -> float:
-    """Memory value where eps_mm crosses |eps_l| (0 for degenerate channels)."""
-    return thresholds(channel).mu_ml
-
-
-def threshold_star(channel: PauliChannel) -> float:
-    """Memory value above which entangled inputs win (0 for degenerate channels)."""
-    return thresholds(channel).mu_star
-
-
 @dataclass(frozen=True)
 class ChannelParams:
     """Everything derived from a channel: eps vector, eps matrix, magnitude
@@ -209,8 +199,6 @@ class ChannelParams:
     eps: np.ndarray
     eps2: np.ndarray
     ordering: tuple[int, int, int]
-    mu_ml: float
-    mu_star: float
     thresholds: Thresholds
 
     def __post_init__(self):
@@ -219,14 +207,11 @@ class ChannelParams:
 
 
 def channel_params(channel: PauliChannel) -> ChannelParams:
-    th = thresholds(channel)
     return ChannelParams(
         eps=epsilon_vector(channel),
         eps2=epsilon_matrix(channel),
         ordering=ordering(channel),
-        mu_ml=th.mu_ml,
-        mu_star=th.mu_star,
-        thresholds=th,
+        thresholds=thresholds(channel),
     )
 
 
@@ -261,12 +246,20 @@ def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
     return epsilon_matrix(channel) * np.asarray(w, dtype=float)
 
 
+def _config_number(value, key: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRange(f"config value {key!r} is not a number: {value!r}") from None
+
+
 def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
     """Build a channel from a configuration mapping.
 
     Two layouts are accepted: {"q": [q0, q1, q2, q3], "mu": m} or
-    {"family": "depolarizing" | "mp", "p": x, "mu": m}. An explicit mu
-    argument overrides the one in the mapping.
+    {"family": <a FAMILIES name>, "p": x, "mu": m}. An explicit mu argument
+    overrides the one in the mapping. Any malformed value raises OutOfRange
+    naming its key.
     """
     if not isinstance(cfg, dict):
         raise OutOfRange("channel config must be a JSON object")
@@ -274,18 +267,17 @@ def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
         if "mu" not in cfg:
             raise OutOfRange("channel config is missing 'mu'")
         mu = cfg["mu"]
+    mu = _config_number(mu, "mu")
     if ("q" in cfg) == ("family" in cfg):
         raise OutOfRange("channel config needs exactly one of 'q' or 'family'")
     if "q" in cfg:
         q = cfg["q"]
         if not isinstance(q, (list, tuple)) or len(q) != 4:
             raise OutOfRange("'q' must be a list of 4 probabilities")
-        return PauliChannel(tuple(float(x) for x in q), float(mu))
+        return PauliChannel(tuple(_config_number(x, "q") for x in q), mu)
     if "p" not in cfg:
         raise OutOfRange("family config is missing 'p'")
     family = cfg["family"]
-    if family == "depolarizing":
-        return depolarizing(float(cfg["p"]), float(mu))
-    if family == "mp":
-        return mp_channel(float(cfg["p"]), float(mu))
-    raise OutOfRange(f"unknown channel family {family!r}")
+    if not isinstance(family, str) or family not in FAMILIES:
+        raise OutOfRange(f"unknown channel family {family!r}")
+    return FAMILIES[family](_config_number(cfg["p"], "p"), mu)

@@ -11,18 +11,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from decimal import Decimal, InvalidOperation
 
-from .capacity import capacity_sweep, sweep_to_csv, sweep_to_json
-from .channel import (
-    PauliChannel,
-    channel_from_config,
-    channel_params,
-    depolarizing,
-    mp_channel,
-    thresholds,
-)
+from .capacity import capacity_sweep, format_number, json_float, sweep_to_csv, sweep_to_json
+from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
 from .errors import PauliMemError
 from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimality_grid
+
+
+# Largest --mu-grid, checked from START:END:STEP before the list is built.
+_MAX_GRID_POINTS = 1_000_001
 
 
 class _CliError(Exception):
@@ -43,17 +41,25 @@ def _parse_grid(text: str) -> list[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:END:STEP")
+    # Decimal steps land exactly on decimal grid values (0.3, not
+    # 0.30000000000000004), which float accumulation of the step would not.
     try:
-        start, end, step = (float(p) for p in parts)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-    if step <= 0.0:
+        start, end, step = (Decimal(p) for p in parts)
+    except InvalidOperation:
+        raise argparse.ArgumentTypeError(f"invalid number in {text!r}") from None
+    if not (start.is_finite() and end.is_finite() and step.is_finite()):
+        raise argparse.ArgumentTypeError("grid values must be finite")
+    if step <= 0:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if start > end:
         raise argparse.ArgumentTypeError("grid start exceeds end")
     # Endpoints inclusive within half a step.
-    count = int((end - start) / step + 0.5) + 1
-    return [min(start + k * step, end) for k in range(count)]
+    count = int((end - start) / step + Decimal("0.5")) + 1
+    if count > _MAX_GRID_POINTS:
+        raise argparse.ArgumentTypeError(
+            f"grid has {count} points, more than {_MAX_GRID_POINTS}"
+        )
+    return [float(min(start + k * step, end)) for k in range(count)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--q", type=_parse_q, metavar="Q0,Q1,Q2,Q3",
                         help="Pauli probabilities")
-    source.add_argument("--family", choices=("depolarizing", "mp"),
+    source.add_argument("--family", choices=tuple(FAMILIES),
                         help="named channel family (needs --p)")
     source.add_argument("--config", metavar="PATH",
                         help="JSON channel config file")
@@ -91,7 +97,7 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
                 cfg = json.load(fh)
         except OSError as exc:
             raise _CliError(f"cannot read config: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise _CliError(f"malformed config: {exc}") from None
         return channel_from_config(cfg, mu=args.mu)
     mu = args.mu if args.mu is not None else default_mu
@@ -102,22 +108,14 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
     if args.family is not None:
         if args.p is None:
             raise _CliError("--family requires --p")
-        if args.family == "depolarizing":
-            return depolarizing(args.p, mu)
-        return mp_channel(args.p, mu)
+        return FAMILIES[args.family](args.p, mu)
     raise _CliError("no channel given: use --q, --family or --config")
 
 
 def _kv_csv(pairs) -> str:
     lines = ["key,value"]
     for key, value in pairs:
-        if isinstance(value, bool):
-            text = "true" if value else "false"
-        elif isinstance(value, float):
-            text = format(value + 0.0, ".12g")
-        else:
-            text = str(value)
-        lines.append(f"{key},{text}")
+        lines.append(f"{key},{format_number(value)}")
     return "\n".join(lines) + "\n"
 
 
@@ -146,21 +144,17 @@ def _cmd_params(args) -> tuple[str, int]:
 def _cmd_thresholds(args) -> tuple[str, int]:
     channel = _load_channel(args, default_mu=0.0)  # thresholds ignore mu
     th = thresholds(channel)
-    pairs = [
+    values = [
         ("mu_ml", th.mu_ml),
         ("mu_star", th.mu_star),
         ("mu_ml_raw", th.mu_ml_raw),
         ("mu_star_raw", th.mu_star_raw),
-        ("degenerate", th.degenerate),
-        ("no_threshold", th.no_threshold),
     ]
+    flags = [("degenerate", th.degenerate), ("no_threshold", th.no_threshold)]
     if args.format == "json":
-        payload = {
-            key: (None if isinstance(value, float) and value != value else value)
-            for key, value in pairs  # NaN is not valid JSON; emit null
-        }
+        payload = {key: json_float(value) for key, value in values} | dict(flags)
         return json.dumps(payload, indent=2) + "\n", 0
-    return _kv_csv(pairs), 0
+    return _kv_csv(values + flags), 0
 
 
 def _cmd_capacity(args) -> tuple[str, int]:
@@ -212,18 +206,25 @@ _DISPATCH = {
 }
 
 
+def _write_out(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write output: {exc}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         text, code = _DISPATCH[args.command](args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write_out(args.out, text)
     except (_CliError, PauliMemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return code
 
 

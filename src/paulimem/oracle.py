@@ -1,10 +1,11 @@
 """Independent verification of the optimal input families.
 
-Nothing here reuses the analytic spectra: the channel output is assembled
-entry by entry from the Pauli weights, eigenvalues come from an in-house
-Jacobi diagonalizer (with LAPACK only in the vectorized search hot loop),
-and the minimum output entropy is found by a brute-force grid plus
-derivative-free refinement over the full six-parameter pure-state family.
+The search reuses nothing of the analytic spectra, which enter only as the
+value it is compared with: the channel output is assembled entry by entry
+from the Pauli weights, eigenvalues come from an in-house Jacobi
+diagonalizer (with LAPACK only in the vectorized search hot loop), and the
+minimum output entropy is found by a brute-force grid plus derivative-free
+refinement over the full six-parameter pure-state family.
 """
 
 from __future__ import annotations
@@ -14,21 +15,20 @@ from dataclasses import dataclass
 from math import hypot, sqrt
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .capacity import entropy_bits, spectrum_bell_regime, spectrum_product_regime
-from .channel import (
-    PauliChannel,
-    channel_params,
-    epsilon_matrix,
-    epsilon_vector,
-)
+from .capacity import capacity_two_use, format_number
+from .channel import PauliChannel, epsilon_matrix, epsilon_vector
 from .errors import NonHermitian, OutOfRange
 from .pauli import PAULI2
-from .states import PureStateParams, density_matrix, pauli_weights, state_vector
+from .states import PureStateParams, density_matrix, pauli_weights, state_vector, state_vectors
 
 _HERM_TOL = 1e-9
 _GRID_CHUNK = 200_000
+# Caps on the user-set search sizes, checked before anything is allocated:
+# the grid holds grid_points_per_angle**6 points (10**6 at the cap) and the
+# random starts take 6 floats each.
+_MAX_GRID_POINTS_PER_ANGLE = 10
+_MAX_RESTARTS = 1000
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,10 @@ class SearchConfig:
         for name in ("grid_points_per_angle", "refinements", "restarts", "max_iters"):
             if getattr(self, name) < 1:
                 raise OutOfRange(f"{name} must be positive")
+        if self.grid_points_per_angle > _MAX_GRID_POINTS_PER_ANGLE:
+            raise OutOfRange(f"grid_points_per_angle above {_MAX_GRID_POINTS_PER_ANGLE}")
+        if self.restarts > _MAX_RESTARTS:
+            raise OutOfRange(f"restarts above {_MAX_RESTARTS}")
         if self.tol_entropy < 1e-12:
             raise OutOfRange("tol_entropy below 1e-12 is not resolvable")
 
@@ -54,8 +58,9 @@ class SearchConfig:
 class OracleResult:
     """Outcome of one brute-force minimization.
 
-    gap_to_analytic = min_entropy - min(product, bell) branch entropy; a gap
-    below -tol_entropy would contradict the optimality of the two families.
+    entropy_product and entropy_bell are the closed-form output entropies of
+    the two optimal families; gap_to_analytic = min_entropy - min(product,
+    bell), and a gap below -tol_entropy would contradict their optimality.
     budget_exceeded marks refinement runs stopped by the iteration cap.
     """
 
@@ -63,6 +68,8 @@ class OracleResult:
     best_params: PureStateParams
     best_spectrum: np.ndarray
     evaluations: int
+    entropy_product: float
+    entropy_bell: float
     gap_to_analytic: float
     budget_exceeded: bool = False
 
@@ -185,22 +192,8 @@ def channel_superoperator(channel: PauliChannel) -> np.ndarray:
     return m
 
 
-def _state_batch(params: np.ndarray) -> np.ndarray:
-    """(N, 6) parameter rows -> (N, 4) amplitude vectors."""
-    th, ph, ps, p11, p10, p01 = (params[:, i] for i in range(6))
-    half = th / 2.0
-    plus = (ph + ps) / 2.0
-    minus = (ph - ps) / 2.0
-    v = np.empty((params.shape[0], 4), dtype=complex)
-    v[:, 0] = np.cos(plus) * np.cos(half)
-    v[:, 1] = np.sin(plus) * np.cos(half) * np.exp(1j * p01)
-    v[:, 2] = np.cos(minus) * np.sin(half) * np.exp(1j * p10)
-    v[:, 3] = np.sin(minus) * np.sin(half) * np.exp(1j * p11)
-    return v
-
-
 def _entropy_batch(superop: np.ndarray, params: np.ndarray) -> np.ndarray:
-    v = _state_batch(params)
+    v = state_vectors(params)
     rho = np.einsum("ni,nj->nij", v, v.conj())
     out = rho.reshape(-1, 16) @ superop.T
     lam = np.linalg.eigvalsh(out.reshape(-1, 4, 4))
@@ -225,6 +218,8 @@ def min_entropy_bruteforce(
     a candidate too. Deterministic for a fixed config; candidate ties break
     by lexicographic parameter order.
     """
+    from scipy.optimize import minimize  # deferred: only the search needs scipy
+
     if cfg is None:
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
@@ -267,16 +262,16 @@ def min_entropy_bruteforce(
     spectrum = eig_hermitian4(
         output_matrix(channel, pauli_weights(density_matrix(state_vector(best_params))))
     )
-    cp = channel_params(channel)
-    analytic = min(
-        entropy_bits(spectrum_product_regime(cp)), entropy_bits(spectrum_bell_regime(cp))
-    )
+    analytic = capacity_two_use(channel)
+    s_p, s_b = analytic.entropy_product, analytic.entropy_bell
     return OracleResult(
         min_entropy=best_value,
         best_params=best_params,
         best_spectrum=spectrum,
         evaluations=evaluations,
-        gap_to_analytic=best_value - analytic,
+        entropy_product=s_p,
+        entropy_bell=s_b,
+        gap_to_analytic=best_value - min(s_p, s_b),
         budget_exceeded=budget_exceeded,
     )
 
@@ -331,19 +326,15 @@ def verify_optimality_grid(
     budget_exceeded = False
     for mu in mu_grid:
         ch = channel_base.with_mu(float(mu))
-        cp = channel_params(ch)
-        s_p = entropy_bits(spectrum_product_regime(cp))
-        s_b = entropy_bits(spectrum_bell_regime(cp))
         result = min_entropy_bruteforce(ch, cfg)
-        gap = result.min_entropy - min(s_p, s_b)
         points.append(
             GridPointCheck(
                 mu=ch.mu,
                 s_oracle=result.min_entropy,
-                s_product=s_p,
-                s_bell=s_b,
-                gap=gap,
-                flag=gap < -cfg.tol_entropy,
+                s_product=result.entropy_product,
+                s_bell=result.entropy_bell,
+                gap=result.gap_to_analytic,
+                flag=result.gap_to_analytic < -cfg.tol_entropy,
             )
         )
         budget_exceeded |= result.budget_exceeded
@@ -361,12 +352,12 @@ def report_to_csv(report: OptimalityReport) -> str:
     lines = [REPORT_CSV_HEADER]
     for p in report.points:
         cells = [
-            format(p.mu + 0.0, ".12g"),
-            format(p.s_oracle + 0.0, ".12g"),
-            format(p.s_product + 0.0, ".12g"),
-            format(p.s_bell + 0.0, ".12g"),
-            format(p.gap + 0.0, ".12g"),
-            "true" if p.flag else "false",
+            format_number(p.mu),
+            format_number(p.s_oracle),
+            format_number(p.s_product),
+            format_number(p.s_bell),
+            format_number(p.gap),
+            format_number(p.flag),
         ]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

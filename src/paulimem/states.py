@@ -46,11 +46,6 @@ class PureStateParams:
         """(theta, phi, psi, phi11, phi10, phi01) as a float vector."""
         return np.array([self.theta, self.phi, self.psi, self.phi11, self.phi10, self.phi01])
 
-    @classmethod
-    def from_array(cls, x) -> "PureStateParams":
-        t, ph, ps, p11, p10, p01 = (float(v) for v in x)
-        return cls(t, ph, ps, p11, p10, p01)
-
     def to_dict(self) -> dict:
         return {
             "theta": self.theta,
@@ -73,33 +68,38 @@ class PureStateParams:
         )
 
 
-def amplitudes_from_angles(theta: float, phi: float, psi: float) -> tuple[float, float, float, float]:
+def amplitudes_from_angles(theta, phi, psi) -> tuple:
     """Real amplitudes (c00, c11, c10, c01); their squares sum to 1.
 
-    Individual values may be negative for some angle ranges; a sign is a
-    phase, and keeping it preserves full coverage of the amplitude sphere.
+    Elementwise: the angles may be floats or equal-shape arrays. Individual
+    values may be negative for some angle ranges; a sign is a phase, and
+    keeping it preserves full coverage of the amplitude sphere.
     """
     half = theta / 2.0
     plus = (phi + psi) / 2.0
     minus = (phi - psi) / 2.0
-    c00 = cos(plus) * cos(half)
-    c11 = sin(minus) * sin(half)
-    c10 = cos(minus) * sin(half)
-    c01 = sin(plus) * cos(half)
+    c00 = np.cos(plus) * np.cos(half)
+    c11 = np.sin(minus) * np.sin(half)
+    c10 = np.cos(minus) * np.sin(half)
+    c01 = np.sin(plus) * np.cos(half)
     return c00, c11, c10, c01
+
+
+def state_vectors(params: np.ndarray) -> np.ndarray:
+    """(N, 6) rows (theta, phi, psi, phi11, phi10, phi01) -> (N, 4) amplitudes
+    over |00>, |01>, |10>, |11> (unit norm)."""
+    c00, c11, c10, c01 = amplitudes_from_angles(params[:, 0], params[:, 1], params[:, 2])
+    v = np.empty((params.shape[0], 4), dtype=complex)
+    v[:, 0] = c00
+    v[:, 1] = c01 * np.exp(1j * params[:, 5])
+    v[:, 2] = c10 * np.exp(1j * params[:, 4])
+    v[:, 3] = c11 * np.exp(1j * params[:, 3])
+    return v
 
 
 def state_vector(params: PureStateParams) -> np.ndarray:
     """Amplitudes over |00>, |01>, |10>, |11> (unit norm)."""
-    c00, c11, c10, c01 = amplitudes_from_angles(params.theta, params.phi, params.psi)
-    return np.array(
-        [
-            c00,
-            c01 * cmath.exp(1j * params.phi01),
-            c10 * cmath.exp(1j * params.phi10),
-            c11 * cmath.exp(1j * params.phi11),
-        ]
-    )
+    return state_vectors(params.as_array()[None, :])[0]
 
 
 def density_matrix(vec: np.ndarray) -> np.ndarray:

@@ -2,12 +2,16 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimem import (
+    FAMILIES,
     InvalidState,
     NonNormalized,
     OutOfRange,
     PauliChannel,
+    PauliMemError,
     apply_channel,
     apply_channel_weights,
     bell_state,
@@ -19,12 +23,30 @@ from paulimem import (
     mp_channel,
     ordering,
     pauli_weights,
-    threshold_ml,
-    threshold_star,
     thresholds,
     weights_to_density,
 )
+from paulimem.pauli import PRODUCT_INDEX
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+NUMBERISH = JSON_VALUES | st.floats(min_value=0.0, max_value=1.0)
+# Mappings shaped like the two config layouts, so the search reaches the
+# number conversions and not only the layout checks.
+CONFIG_LIKE = (
+    st.dictionaries(st.sampled_from(["q", "mu", "family", "p"]), NUMBERISH, max_size=4)
+    | st.fixed_dictionaries(
+        {"q": st.lists(NUMBERISH, min_size=4, max_size=4) | NUMBERISH, "mu": NUMBERISH}
+    )
+    | st.fixed_dictionaries(
+        {"family": st.sampled_from(sorted(FAMILIES)) | NUMBERISH, "p": NUMBERISH, "mu": NUMBERISH}
+    )
+)
 
 
 class TestConstruction:
@@ -127,6 +149,26 @@ class TestEpsilonMatrix:
             eps = epsilon_vector(ch)
             assert np.array_equal(epsilon_matrix(ch), np.outer(eps, eps))
 
+    def test_equals_scalar_loop_exactly(self, rng):
+        # The entrywise form epsilon_matrix had before it was vectorized;
+        # the arithmetic is the same, so the results must agree bit for bit.
+        def reference(ch):
+            eps, mu = epsilon_vector(ch), ch.mu
+            out = np.empty((4, 4))
+            for k in range(4):
+                for kp in range(4):
+                    out[k, kp] = (1.0 - mu) * eps[k] * eps[kp] + mu * eps[PRODUCT_INDEX[k, kp]]
+            return out
+
+        channels = [random_channel(rng) for _ in range(500)]
+        channels += [
+            PauliChannel(q, mu)
+            for q in (ILLUSTRATION_Q, (0.7, 0.1, 0.1, 0.1), (0.25, 0.25, 0.25, 0.25), (1, 0, 0, 0))
+            for mu in (0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0)
+        ]
+        for ch in channels:
+            assert np.array_equal(epsilon_matrix(ch), reference(ch))
+
     def test_first_row_and_column_are_eps(self, rng):
         for _ in range(50):
             ch = random_channel(rng)
@@ -177,11 +219,11 @@ class TestOrdering:
 class TestThresholds:
     def test_illustration_mu_ml(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.0)
-        assert threshold_ml(ch) == pytest.approx(0.36 / 0.96, abs=1e-12)
+        assert thresholds(ch).mu_ml == pytest.approx(0.36 / 0.96, abs=1e-12)
 
     def test_illustration_mu_star(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.0)
-        assert threshold_star(ch) == pytest.approx(0.39, abs=0.005)
+        assert thresholds(ch).mu_star == pytest.approx(0.39, abs=0.005)
 
     def test_identity_degenerate(self):
         th = thresholds(PauliChannel((1, 0, 0, 0), 0.0))
@@ -207,17 +249,17 @@ class TestThresholds:
         # with all eps_k equal the defining equation reduces to |e|/(1+|e|)
         for p in (0.1, 0.25, 0.5, 0.7):
             e = abs(1 - 4 * p / 3)
-            assert threshold_star(depolarizing(p, 0.0)) == pytest.approx(
+            assert thresholds(depolarizing(p, 0.0)).mu_star == pytest.approx(
                 e / (1 + e), abs=1e-12
             )
 
     def test_mp_closed_form(self):
         # eps_m = eps_s = 0 reduces the defining equation to |4p - 1|
         for p in (0.1, 0.25, 0.4, 0.5):
-            assert threshold_star(mp_channel(p, 0.0)) == pytest.approx(
+            assert thresholds(mp_channel(p, 0.0)).mu_star == pytest.approx(
                 abs(4 * p - 1), abs=1e-12
             )
-        assert threshold_star(mp_channel(0.4, 0.0)) == pytest.approx(0.6, abs=1e-12)
+        assert thresholds(mp_channel(0.4, 0.0)).mu_star == pytest.approx(0.6, abs=1e-12)
 
     def test_ordering_of_thresholds(self, rng):
         # mu_ml <= mu_star is expected everywhere; log rather than reject.
@@ -324,4 +366,30 @@ class TestConfig:
         with pytest.raises(OutOfRange):
             channel_from_config({"family": "unknown", "p": 0.1, "mu": 0.0})
         with pytest.raises(OutOfRange):
+            channel_from_config({"family": ["mp"], "p": 0.1, "mu": 0.0})
+        with pytest.raises(OutOfRange):
             channel_from_config({"family": "mp", "mu": 0.0})
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"}, "mu"),
+            ({"family": "depolarizing", "p": "x", "mu": 0.3}, "p"),
+            ({"q": [0.2, None, 0.3, 0.4], "mu": 0.5}, "q"),
+            ({"family": "mp", "p": [0.1], "mu": 0.3}, "p"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": {"value": 0.5}}, "mu"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": 10**400}, "mu"),
+        ],
+    )
+    def test_non_numbers_name_their_key(self, cfg, key):
+        with pytest.raises(OutOfRange, match=repr(key)):
+            channel_from_config(cfg)
+
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=JSON_VALUES | CONFIG_LIKE)
+    def test_arbitrary_json_is_channel_or_validation_error(self, cfg):
+        try:
+            ch = channel_from_config(cfg)
+        except PauliMemError:
+            return
+        assert isinstance(ch, PauliChannel)

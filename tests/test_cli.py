@@ -1,10 +1,12 @@
+import argparse
 import json
 import subprocess
 import sys
 
 import pytest
 
-from paulimem.cli import main
+from paulimem import cli
+from paulimem.cli import _parse_grid, main
 
 
 def run_cli(capsys, *argv):
@@ -109,9 +111,28 @@ class TestCapacityAndSweep:
         assert rows[1][2] == "1"
 
     def test_bad_grid_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0.5:0.1:0.2", "sweep"])
-        assert exc.value.code == 2
+        for grid in ("0.5:0.1:0.2", "0:nan:0.1", "a:1:0.1", "0:1e400:1", "0:1:0"):
+            with pytest.raises(SystemExit) as exc:
+                main(["--q", "0.2,0.1,0.3,0.4", "--mu-grid", grid, "sweep"])
+            assert exc.value.code == 2
+
+    def test_grid_steps_land_on_decimal_values(self):
+        assert _parse_grid("0:1:0.1") == [k / 10 for k in range(11)]
+        assert _parse_grid("0:1:0.01") == [k / 100 for k in range(101)]
+        assert _parse_grid("0:1:0.125") == [k / 8 for k in range(9)]
+        assert _parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
+        assert _parse_grid("0:1:0.6") == [0.0, 0.6, 1.0]  # end kept within half a step
+
+    def test_grid_size_bound_checked_before_building(self, monkeypatch):
+        # Only the count is computed before the check, so none of these
+        # builds a list; 0:1:1e-12 would be 1e12 floats.
+        for text in ("0:1:9.99e-7", "0:1:1e-12", "0:1:1e-300"):
+            with pytest.raises(argparse.ArgumentTypeError, match="more than 1000001"):
+                _parse_grid(text)
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
+        assert len(_parse_grid("0:0.9:0.1")) == 10
+        with pytest.raises(argparse.ArgumentTypeError):
+            _parse_grid("0:1:0.1")
 
     def test_sweep_needs_grid(self, capsys):
         code, _, err = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "sweep")
@@ -159,10 +180,15 @@ class TestConfigFile:
 
     def test_malformed_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "broken.json"
-        cfg.write_text("{not json")
-        code, _, err = run_cli(capsys, "--config", str(cfg), "--mu", "0.5", "params")
-        assert code == 2
-        assert "malformed" in err
+        for content in (
+            b"{not json",
+            b'{"q": [0.2, 0.1, 0.3, 0.4], "mu": "\xff"}',  # not UTF-8
+            b"[" * 100_000 + b"]" * 100_000,  # nested past the recursion limit
+        ):
+            cfg.write_bytes(content)
+            code, _, err = run_cli(capsys, "--config", str(cfg), "--mu", "0.5", "params")
+            assert code == 2
+            assert "malformed" in err
 
     def test_missing_config_exits_2(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "--config", str(tmp_path / "nope.json"), "params")
@@ -175,6 +201,55 @@ class TestConfigFile:
         with pytest.raises(SystemExit) as exc:
             main(["--config", str(cfg), "--q", "1,0,0,0", "params"])
         assert exc.value.code == 2
+
+
+class TestErrorContract:
+    """Bad input ends in one `error:` line and exit 2, never a traceback."""
+
+    def _run(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-m", "paulimem", *argv], capture_output=True, text=True, check=False
+        )
+
+    def _assert_one_error_line(self, proc):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"},
+            {"family": "depolarizing", "p": "x", "mu": 0.3},
+        ],
+    )
+    def test_non_numeric_config_value(self, tmp_path, cfg):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(cfg))
+        self._assert_one_error_line(self._run("--config", str(path), "capacity"))
+
+    def test_unwritable_out(self, tmp_path):
+        target = tmp_path / "missing" / "sweep.csv"
+        proc = self._run(
+            "--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0:1:0.5", "sweep", "--out", str(target)
+        )
+        self._assert_one_error_line(proc)
+        assert "cannot write output" in proc.stderr
+
+
+class TestImports:
+    def test_scipy_loaded_only_by_the_search(self):
+        script = (
+            "import sys, paulimem\n"
+            "assert 'scipy' not in sys.modules\n"
+            "from paulimem.cli import main\n"
+            "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu', '0.5', 'capacity']) == 0\n"
+            "assert 'scipy' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestVerify:

@@ -21,6 +21,7 @@ from paulimem import (
     spectrum_bell_regime,
     spectrum_product_regime,
     state_vector,
+    thresholds,
     verify_optimality_grid,
 )
 from paulimem.oracle import channel_superoperator, report_to_csv, report_to_json
@@ -137,7 +138,7 @@ class TestA2:
             PauliChannel((0.1, 0.4, 0.4, 0.1), 0.0),
         ]
         for base in channels:
-            mu_star = channel_params(base).mu_star
+            mu_star = thresholds(base).mu_star
             for mu in np.arange(0.0, 1.0001, 0.05):
                 mu = float(min(mu, 1.0))
                 if abs(mu - mu_star) < 1e-3:
@@ -168,6 +169,18 @@ class TestSearchConfig:
         with pytest.raises(OutOfRange):
             SearchConfig(tol_entropy=1e-13)
 
+    def test_sizes_bounded(self):
+        # validation only: a config is plain data, nothing is allocated
+        SearchConfig(grid_points_per_angle=10, restarts=1000)
+        with pytest.raises(OutOfRange, match="grid_points_per_angle"):
+            SearchConfig(grid_points_per_angle=11)
+        with pytest.raises(OutOfRange, match="grid_points_per_angle"):
+            SearchConfig(grid_points_per_angle=40)
+        with pytest.raises(OutOfRange, match="restarts"):
+            SearchConfig(restarts=1001)
+        with pytest.raises(OutOfRange, match="restarts"):
+            SearchConfig(restarts=10**9)
+
 
 class TestBruteForce:
     def test_identity_channel_reaches_zero(self):
@@ -192,6 +205,14 @@ class TestBruteForce:
         assert res.min_entropy >= analytic - 1e-6
         assert abs(res.gap_to_analytic) <= 1e-4
         assert not res.budget_exceeded
+
+    def test_branch_entropies_are_the_closed_form(self):
+        ch = PauliChannel(ILLUSTRATION_Q, 0.35)
+        res = min_entropy_bruteforce(ch, SearchConfig(grid_points_per_angle=4, restarts=2))
+        cp = channel_params(ch)
+        assert res.entropy_product == entropy_bits(spectrum_product_regime(cp))
+        assert res.entropy_bell == entropy_bits(spectrum_bell_regime(cp))
+        assert res.gap_to_analytic == res.min_entropy - min(res.entropy_product, res.entropy_bell)
 
     def test_deterministic(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.35)

@@ -21,6 +21,7 @@ from paulimem import (
     product_optimal_state,
     random_pure_params,
     state_vector,
+    state_vectors,
     weights_to_density,
 )
 from paulimem.pauli import SIGMA
@@ -78,6 +79,28 @@ class TestStateVector:
         for _ in range(200):
             v = state_vector(random_params(rng))
             assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+
+    def test_batch_matches_scalar_reference(self, rng):
+        # The scalar math/cmath form the batch function replaced. numpy's and
+        # libm's cos/sin/exp may round differently in the last bit; each
+        # amplitude is a product of three factors of modulus <= 1, so 8 ulp
+        # of 1.0 bounds the difference.
+        def reference(t, ph, ps, p11, p10, p01):
+            half, plus, minus = t / 2.0, (ph + ps) / 2.0, (ph - ps) / 2.0
+            return [
+                math.cos(plus) * math.cos(half),
+                math.sin(plus) * math.cos(half) * cmath.exp(1j * p01),
+                math.cos(minus) * math.sin(half) * cmath.exp(1j * p10),
+                math.sin(minus) * math.sin(half) * cmath.exp(1j * p11),
+            ]
+
+        rows = rng.uniform(-20.0, 20.0, (2000, 6))
+        batch = state_vectors(rows)
+        expected = np.array([reference(*row) for row in rows])
+        assert batch.shape == (2000, 4)
+        assert np.abs(batch - expected).max() <= 8 * np.finfo(float).eps
+        for row, v in zip(rows[:50], batch[:50]):
+            assert np.array_equal(state_vector(PureStateParams(*row)), v)
 
 
 class TestDensityMatrix:
