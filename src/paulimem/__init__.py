@@ -67,6 +67,7 @@ from .states import (
     product_optimal_state,
     random_pure_params,
     state_vector,
+    state_vector_derivatives,
     state_vectors,
     weights_to_density,
 )

@@ -97,6 +97,27 @@ def state_vectors(params: np.ndarray) -> np.ndarray:
     return v
 
 
+def state_vector_derivatives(params: np.ndarray) -> np.ndarray:
+    """(N, 6) rows -> (N, 6, 4) partial derivatives d v / d x_i of state_vectors.
+
+    Each amplitude is a cosine or sine of theta/2 times a cosine or sine of
+    (phi + psi)/2 or (phi - psi)/2. Advancing x_i (one of theta, phi, psi) by
+    pi moves each argument a by pi da/dx_i = +-pi/2, and a cosine or sine
+    advanced by +-pi/2 is +-its derivative, the same sign as da/dx_i. So
+    d v / d x_i is half of state_vectors at x + pi e_i. A phase derivative is
+    i times the component that phase dresses.
+    """
+    n = params.shape[0]
+    shifted = np.repeat(params[:, None, :], 4, axis=1)
+    shifted[:, [1, 2, 3], [0, 1, 2]] += np.pi
+    vs = state_vectors(shifted.reshape(4 * n, 6)).reshape(n, 4, 4)
+    dv = np.zeros((n, 6, 4), dtype=complex)
+    dv[:, :3] = 0.5 * vs[:, 1:]
+    for row, comp in ((3, 3), (4, 2), (5, 1)):  # phi11 -> |11>, phi10 -> |10>, phi01 -> |01>
+        dv[:, row, comp] = 1j * vs[:, 0, comp]
+    return dv
+
+
 def state_vector(params: PureStateParams) -> np.ndarray:
     """Amplitudes over |00>, |01>, |10>, |11> (unit norm)."""
     return state_vectors(params.as_array()[None, :])[0]

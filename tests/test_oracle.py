@@ -24,7 +24,13 @@ from paulimem import (
     thresholds,
     verify_optimality_grid,
 )
-from paulimem.oracle import channel_superoperator, report_to_csv, report_to_json
+from paulimem.oracle import (
+    _entropy_and_gradient,
+    _grid_rows,
+    channel_superoperator,
+    report_to_csv,
+    report_to_json,
+)
 from conftest import ILLUSTRATION_Q, random_channel, random_params, random_pure_density
 
 
@@ -249,6 +255,40 @@ class TestBruteForce:
         rho = random_pure_density(rng)
         out = (m @ rho.reshape(16)).reshape(4, 4)
         assert np.abs(out - apply_channel(ch, rho)).max() < 1e-12
+
+    def test_objective_value_and_gradient(self, rng):
+        # S is evaluated to ~1e-13 (amplitude and eigenvalue rounding times
+        # |log2 lambda| <= ~10 for these outputs), so the central difference
+        # at h = 1e-6 carries ~1e-7 of rounding at most; truncation, h**2
+        # S'''/6, is far below that while no output eigenvalue is tiny.
+        h = 1e-6
+        for _ in range(40):
+            ch = random_channel(rng, mu=float(rng.uniform(0.0, 0.99)))
+            superop = channel_superoperator(ch)
+            x = random_params(rng).as_array()
+            value, grad = _entropy_and_gradient(x, superop)
+            assert abs(value - output_entropies(ch, x)[0]) <= 1e-12
+            up = x + h * np.eye(6)
+            down = x - h * np.eye(6)
+            s_up, s_down = output_entropies(ch, up), output_entropies(ch, down)
+            central = (s_up - s_down) / np.diag(up - down)  # the steps as represented
+            assert np.abs(grad - central).max() <= 1e-7
+
+    def test_default_search_cost(self):
+        # a count, not a time: the grid plus at most 3000 objective calls
+        ch = PauliChannel(ILLUSTRATION_Q, 0.5)
+        res = min_entropy_bruteforce(ch)
+        assert res.evaluations - 7**6 < 3000
+        assert res.budget_exceeded is False
+
+    @pytest.mark.parametrize("g", [3, 4])
+    def test_grid_rows_match_meshgrid(self, g):
+        axes = [np.linspace(0.0, np.pi, g)]
+        axes += [np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)] * 5
+        mesh = np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
+        chunks = [_grid_rows(g, np.arange(lo, min(lo + 50, g**6))) for lo in range(0, g**6, 50)]
+        assert np.array_equal(np.concatenate(chunks), mesh)
+        assert np.array_equal(_grid_rows(g, np.array([g**6 - 1, 5, 0])), mesh[[g**6 - 1, 5, 0]])
 
 
 class TestVerifyGrid:

@@ -21,6 +21,7 @@ from paulimem import (
     product_optimal_state,
     random_pure_params,
     state_vector,
+    state_vector_derivatives,
     state_vectors,
     weights_to_density,
 )
@@ -101,6 +102,26 @@ class TestStateVector:
         assert np.abs(batch - expected).max() <= 8 * np.finfo(float).eps
         for row, v in zip(rows[:50], batch[:50]):
             assert np.array_equal(state_vector(PureStateParams(*row)), v)
+
+    def test_derivatives_match_central_differences(self, rng):
+        # Every amplitude is a product of sines and cosines of frequency <= 1
+        # in each parameter, so its third derivative is at most 1 and the
+        # central difference at h has truncation error <= h**2/6 ~ 2e-13.
+        # Its rounding error is set by the trig arguments, sums such as
+        # (phi + psi)/2 rounded to a few ulp of 2 max|x|, divided by h.
+        # Dividing by the step as represented keeps the rounding of x +- h
+        # out of it.
+        h = 1e-6
+        rows = rng.uniform(-20.0, 20.0, (200, 6))
+        tol = 4.0 * np.finfo(float).eps * (1.0 + 2.0 * np.abs(rows).max()) / h
+        dv = state_vector_derivatives(rows)
+        assert dv.shape == (200, 6, 4)
+        for i in range(6):
+            step = np.zeros(6)
+            step[i] = h
+            up, down = rows + step, rows - step
+            central = (state_vectors(up) - state_vectors(down)) / (up - down)[:, i, None]
+            assert np.abs(dv[:, i] - central).max() <= tol
 
 
 class TestDensityMatrix:
