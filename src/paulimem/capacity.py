@@ -15,8 +15,8 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelParams, PauliChannel, apply_channel, channel_params
-from .errors import InvalidSpectrum, InvalidState
+from .channel import ChannelParams, PauliChannel, _epsilon_matrix, apply_channel, channel_params
+from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2
 
 _SPECTRUM_TOL = 1e-9
@@ -34,6 +34,59 @@ class Regime(str, Enum):
     TIE = "tie"
 
 
+def _sum4(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis (length 4), added strictly left to right."""
+    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
+
+
+def _branch_spectra(eps2: np.ndarray, l: int, e_l) -> np.ndarray:
+    """Output spectra of both input families at N points, shape (N, 2, 4).
+
+    eps2 holds the eps_kk' matrix of each point, shape (N, 4, 4), of which
+    only the diagonal is read; l is the dominant axis and e_l = eps_l.
+    [:, 0] is the product spectrum (see spectrum_product_regime), [:, 1] the
+    Bell spectrum (see spectrum_bell_regime), each sorted descending.
+    """
+    e11, e22, e33 = eps2[:, 1, 1], eps2[:, 2, 2], eps2[:, 3, 3]
+    e_ll = eps2[:, l, l]
+    lam = np.empty((len(eps2), 2, 4))
+    a = 1.0 + e_ll
+    lam[:, 0, 0] = a + 2.0 * e_l
+    lam[:, 0, 1] = a - 2.0 * e_l
+    lam[:, 0, 2] = lam[:, 0, 3] = 1.0 - e_ll
+    a = 1.0 + e33
+    b = 1.0 - e33
+    lam[:, 1, 0] = a + e11 + e22
+    lam[:, 1, 1] = a - e11 - e22
+    lam[:, 1, 2] = b + e11 - e22
+    lam[:, 1, 3] = b - e11 + e22
+    lam /= 4.0
+    lam.sort(axis=2)
+    return lam[..., ::-1]
+
+
+def _entropies(lam: np.ndarray) -> np.ndarray:
+    """Von Neumann entropies in bits of the 4-point spectra along the last axis.
+
+    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; anything more
+    negative, or a total away from 1 by more than 1e-9, raises InvalidSpectrum
+    for the first such spectrum.
+    """
+    low = lam.min(axis=-1)
+    total = _sum4(lam)
+    bad = (low < -_SPECTRUM_TOL) | (abs(total - 1.0) > _SPECTRUM_TOL)
+    if bad.any():
+        i = np.unravel_index(np.argmax(bad), bad.shape)
+        if low[i] < -_SPECTRUM_TOL:
+            raise InvalidSpectrum(f"negative eigenvalue {low[i]!r}")
+        raise InvalidSpectrum(f"eigenvalues sum to {total[i]!r}, not 1")
+    # Zeros and rounded negatives contribute 1 log2 1 = 0.
+    p = np.where(lam > 0.0, lam, 1.0)
+    # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair
+    # above 1 give a tiny negative sum, clamped to 0.
+    return np.maximum(0.0 - _sum4(p * np.log2(p)), 0.0)
+
+
 def entropy_bits(lambdas) -> float:
     """Von Neumann entropy -sum lam log2(lam) of a 4-point spectrum, in bits.
 
@@ -43,16 +96,12 @@ def entropy_bits(lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (4,):
         raise InvalidSpectrum(f"expected 4 eigenvalues, got shape {lam.shape}")
-    low = lam.min()
-    if low < -_SPECTRUM_TOL:
-        raise InvalidSpectrum(f"negative eigenvalue {low!r}")
-    total = lam.sum()
-    if abs(total - 1.0) > _SPECTRUM_TOL:
-        raise InvalidSpectrum(f"eigenvalues sum to {total!r}, not 1")
-    lam = np.clip(lam, 0.0, None)
-    nz = lam[lam > 0.0]
-    s = float(-np.sum(nz * np.log2(nz)))
-    return max(s, 0.0)  # eigenvalues a hair above 1 give a tiny negative sum
+    return float(_entropies(lam[None])[0])
+
+
+def _cp_spectra(cp: ChannelParams) -> np.ndarray:
+    l = cp.ordering[0]
+    return _branch_spectra(cp.eps2[None], l, cp.eps[l])[0]
 
 
 def spectrum_product_regime(cp: ChannelParams) -> np.ndarray:
@@ -61,13 +110,7 @@ def spectrum_product_regime(cp: ChannelParams) -> np.ndarray:
     The four values are (1 + eps_ll +- 2 eps_l)/4 and (1 - eps_ll)/4 twice;
     they match the diagonalized output of any sigma_l eigenstate pair.
     """
-    l = cp.ordering[0]
-    e_l = cp.eps[l]
-    e_ll = cp.eps2[l, l]
-    lam = np.array(
-        [1.0 + e_ll + 2.0 * e_l, 1.0 + e_ll - 2.0 * e_l, 1.0 - e_ll, 1.0 - e_ll]
-    ) / 4.0
-    return np.sort(lam)[::-1]
+    return _cp_spectra(cp)[0]
 
 
 def spectrum_bell_regime(cp: ChannelParams) -> np.ndarray:
@@ -77,16 +120,7 @@ def spectrum_bell_regime(cp: ChannelParams) -> np.ndarray:
     with product +1; all four Bell inputs give this same multiset, so no
     axis relabeling is needed.
     """
-    e11, e22, e33 = cp.eps2[1, 1], cp.eps2[2, 2], cp.eps2[3, 3]
-    lam = np.array(
-        [
-            1.0 + e33 + e11 + e22,
-            1.0 + e33 - e11 - e22,
-            1.0 - e33 + e11 - e22,
-            1.0 - e33 - e11 + e22,
-        ]
-    ) / 4.0
-    return np.sort(lam)[::-1]
+    return _cp_spectra(cp)[1]
 
 
 @dataclass(frozen=True)
@@ -141,6 +175,45 @@ def format_number(x) -> str:
     return format(float(x) + 0.0, ".12g")  # + 0.0 normalizes -0.0
 
 
+def _capacity_results(cp: ChannelParams, mu: list, eps2: np.ndarray) -> list[CapacityResult]:
+    """CapacityResult at each memory value in mu, from one pass of the array kernel.
+
+    eps2 holds the eps_kk' matrix at each mu, shape (len(mu), 4, 4); cp
+    supplies eps, the ordering and the thresholds, none of which depends on mu.
+    """
+    l = cp.ordering[0]
+    lam = _branch_spectra(eps2, l, cp.eps[l])
+    s = _entropies(lam)
+    th = cp.thresholds
+    results = []
+    for m, pair, (s_p, s_b) in zip(mu, lam, s.tolist()):
+        if abs(s_p - s_b) < _TIE_TOL:
+            regime = Regime.TIE
+        elif s_p < s_b:
+            regime = Regime.PRODUCT
+        else:
+            regime = Regime.ENTANGLED
+        if regime is Regime.ENTANGLED:
+            descriptor = {"family": "bell", "signs": [1, -1, 1]}
+        else:
+            descriptor = {"family": "product", "l": l}
+        results.append(
+            CapacityResult(
+                mu=m,
+                regime=regime,
+                lambdas_product=pair[0],
+                lambdas_bell=pair[1],
+                entropy_product=s_p,
+                entropy_bell=s_b,
+                c2=1.0 - min(s_p, s_b) / 2.0,
+                mu_ml=th.mu_ml,
+                mu_star=th.mu_star,
+                optimal_state_descriptor=descriptor,
+            )
+        )
+    return results
+
+
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     """Classical capacity of two correlated uses, in bits per use.
 
@@ -152,38 +225,25 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     are then optimal.
     """
     cp = channel_params(channel)
-    lam_p = spectrum_product_regime(cp)
-    lam_b = spectrum_bell_regime(cp)
-    s_p = entropy_bits(lam_p)
-    s_b = entropy_bits(lam_b)
-    if abs(s_p - s_b) < _TIE_TOL:
-        regime = Regime.TIE
-    elif s_p < s_b:
-        regime = Regime.PRODUCT
-    else:
-        regime = Regime.ENTANGLED
-    if regime is Regime.ENTANGLED:
-        descriptor = {"family": "bell", "signs": [1, -1, 1]}
-    else:
-        descriptor = {"family": "product", "l": cp.ordering[0]}
-    c2 = 1.0 - min(s_p, s_b) / 2.0
-    return CapacityResult(
-        mu=channel.mu,
-        regime=regime,
-        lambdas_product=lam_p,
-        lambdas_bell=lam_b,
-        entropy_product=s_p,
-        entropy_bell=s_b,
-        c2=c2,
-        mu_ml=cp.thresholds.mu_ml,
-        mu_star=cp.thresholds.mu_star,
-        optimal_state_descriptor=descriptor,
-    )
+    return _capacity_results(cp, [channel.mu], cp.eps2[None])[0]
 
 
 def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
-    """Capacity at every memory value of the grid, with q held fixed."""
-    return [capacity_two_use(channel_base.with_mu(mu)) for mu in mu_grid]
+    """Capacity at every memory value of the grid, with q held fixed.
+
+    The grid is checked as a whole first: the first value outside [0, 1]
+    (NaN and infinities included) raises OutOfRange, as PauliChannel would.
+    The curve is then one array pass; eps, the ordering and the thresholds
+    are computed once.
+    """
+    mu = np.asarray(mu_grid, dtype=float)
+    if mu.ndim != 1:
+        raise OutOfRange(f"mu grid must be one-dimensional, got shape {mu.shape}")
+    bad = ~((mu >= 0.0) & (mu <= 1.0))
+    if bad.any():
+        channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
+    cp = channel_params(channel_base)
+    return _capacity_results(cp, mu.tolist(), _epsilon_matrix(cp.eps, mu[:, None, None]))
 
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> list[np.ndarray]:

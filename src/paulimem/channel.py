@@ -113,8 +113,11 @@ def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
     proportional to sigma_k''. Row and column 0 reproduce the single-use
     values; the diagonal grows affinely from eps_k^2 at mu = 0 to 1 at mu = 1.
     """
-    eps = epsilon_vector(channel)
-    mu = channel.mu
+    return _epsilon_matrix(epsilon_vector(channel), channel.mu)
+
+
+def _epsilon_matrix(eps: np.ndarray, mu):
+    """eps_kk' from the eps vector; an array mu of shape (N, 1, 1) gives N matrices."""
     return (1.0 - mu) * eps[:, None] * eps[None, :] + mu * eps[PRODUCT_INDEX]
 
 
@@ -134,7 +137,10 @@ def ordering(channel: PauliChannel) -> tuple[int, int, int]:
     Ties keep the smaller index first, which makes the output deterministic;
     the capacity is invariant under tied permutations.
     """
-    eps = epsilon_vector(channel)
+    return _ordering(epsilon_vector(channel))
+
+
+def _ordering(eps: np.ndarray) -> tuple[int, int, int]:
     ranked = sorted((1, 2, 3), key=lambda k: (-abs(eps[k]), k))
     return (ranked[0], ranked[1], ranked[2])
 
@@ -170,7 +176,11 @@ def _clamp01(x: float) -> float:
 def thresholds(channel: PauliChannel) -> Thresholds:
     """Both memory thresholds of the channel (mu itself is ignored)."""
     eps = epsilon_vector(channel)
-    l, m, s = ordering(channel)
+    return _thresholds(eps, _ordering(eps))
+
+
+def _thresholds(eps: np.ndarray, order: tuple[int, int, int]) -> Thresholds:
+    l, m, s = order
     em2 = eps[m] * eps[m]
     es2 = eps[s] * eps[s]
     dm = 1.0 - em2
@@ -207,11 +217,13 @@ class ChannelParams:
 
 
 def channel_params(channel: PauliChannel) -> ChannelParams:
+    eps = epsilon_vector(channel)
+    order = _ordering(eps)
     return ChannelParams(
-        eps=epsilon_vector(channel),
-        eps2=epsilon_matrix(channel),
-        ordering=ordering(channel),
-        thresholds=thresholds(channel),
+        eps=eps,
+        eps2=_epsilon_matrix(eps, channel.mu),
+        ordering=order,
+        thresholds=_thresholds(eps, order),
     )
 
 

@@ -27,7 +27,10 @@ from paulimem import (
     sweep_to_json,
     verify_ensemble_achievability,
 )
+from paulimem import capacity as capacity_module
+from paulimem import channel as channel_module
 from paulimem.capacity import SWEEP_CSV_HEADER
+from paulimem.cli import _parse_grid
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
 
@@ -56,6 +59,10 @@ class TestEntropyBits:
     def test_rejects_wrong_total(self):
         with pytest.raises(InvalidSpectrum):
             entropy_bits([0.5, 0.1, 0.1, 0.1])
+
+    def test_pure_is_positive_zero(self):
+        for lam in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, -1e-12, 1e-12, 0.0]):
+            assert math.copysign(1.0, entropy_bits(lam)) == 1.0
 
 
 class TestProductSpectrum:
@@ -195,6 +202,110 @@ class TestSweep:
         results = capacity_sweep(base, grid)
         for a, b in zip(results, results[1:]):
             assert abs(a.c2 - b.c2) < 0.02
+
+
+def _same_float(a, b):
+    """Bit-for-bit float equality (0.0 and -0.0 differ)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+class TestSweepMatchesPoints:
+    """capacity_sweep is one array pass; each entry must equal the point call."""
+
+    @staticmethod
+    def channels():
+        rng = np.random.default_rng(4)
+        chans = [PauliChannel(tuple(rng.dirichlet(np.ones(4)).tolist()), 0.0) for _ in range(50)]
+        chans += [
+            PauliChannel((1.0, 0.0, 0.0, 0.0), 0.0),  # degenerate
+            PauliChannel((0.25,) * 4, 0.0),  # every eps_k = 0
+            PauliChannel((0.5, 0.0, 0.0, 0.5), 0.0),  # tied eps
+            depolarizing(0.25, 0.0),  # TIE at its mu_star
+        ]
+        return chans
+
+    def test_sweep_equals_point_calls(self):
+        regimes = set()
+        for ch in self.channels():
+            mu_star = capacity_two_use(ch).mu_star
+            grid = np.concatenate([np.linspace(0.0, 1.0, 1001), [0.0, 1.0, mu_star]])
+            for mu, r in zip(grid.tolist(), capacity_sweep(ch, grid)):
+                p = capacity_two_use(ch.with_mu(mu))
+                assert _same_float(r.mu, p.mu)
+                assert _same_float(r.c2, p.c2)
+                assert _same_float(r.entropy_product, p.entropy_product)
+                assert _same_float(r.entropy_bell, p.entropy_bell)
+                assert np.array_equal(r.lambdas_product, p.lambdas_product)
+                assert np.array_equal(r.lambdas_bell, p.lambdas_bell)
+                assert r.regime is p.regime
+                assert r.optimal_state_descriptor == p.optimal_state_descriptor
+                assert (r.mu_ml, r.mu_star) == (p.mu_ml, p.mu_star)
+                regimes.add(r.regime)
+        assert regimes == set(Regime)
+
+    def test_shared_work_done_once(self, monkeypatch):
+        calls = {"eps": 0, "thresholds": 0}
+
+        def counting(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(
+            channel_module, "epsilon_vector", counting("eps", channel_module.epsilon_vector)
+        )
+        monkeypatch.setattr(
+            channel_module, "_thresholds", counting("thresholds", channel_module._thresholds)
+        )
+        ch = PauliChannel(ILLUSTRATION_Q, 0.3)
+        capacity_two_use(ch)
+        assert calls == {"eps": 1, "thresholds": 1}
+        capacity_sweep(ch, np.linspace(0.0, 1.0, 101))
+        assert calls == {"eps": 2, "thresholds": 2}
+
+
+class TestSweepGrid:
+    BASE = PauliChannel(ILLUSTRATION_Q, 0.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), -0.1, 1.5])
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_rejects_bad_value_before_building(self, monkeypatch, bad, where):
+        built = []
+        monkeypatch.setattr(
+            capacity_module, "CapacityResult", lambda **kw: built.append(kw)
+        )
+        grid = [0.0, 0.25, 0.5, 0.75, 1.0]
+        grid[where] = bad
+        for g in (grid, np.array(grid)):
+            with pytest.raises(OutOfRange) as exc:
+                capacity_sweep(self.BASE, g)
+            if np.isfinite(bad):
+                assert str(exc.value) == f"mu outside [0, 1]: {bad}"
+        assert built == []
+
+    def test_names_the_first_bad_value(self):
+        with pytest.raises(OutOfRange, match=r"mu outside \[0, 1\]: 1.5"):
+            capacity_sweep(self.BASE, [0.5, 1.5, -0.1])
+
+    def test_accepts_list_array_and_cli_grid(self):
+        grid = _parse_grid("0:1:0.1")
+        runs = [
+            capacity_sweep(self.BASE, g)
+            for g in (grid, np.array(grid), [k / 10 for k in range(11)])
+        ]
+        for results in runs:
+            assert [r.mu for r in results] == grid
+            assert all(type(r.mu) is float and type(r.c2) is float for r in results)
+            assert [r.to_dict() for r in results] == [r.to_dict() for r in runs[0]]
+
+    def test_empty_array_grid(self):
+        assert capacity_sweep(self.BASE, np.array([])) == []
+
+    def test_rejects_grid_that_is_not_a_list(self):
+        for g in (0.5, [[0.0, 0.5]], np.zeros((3, 1))):
+            with pytest.raises(OutOfRange, match="one-dimensional"):
+                capacity_sweep(self.BASE, g)
 
 
 class TestEnsemble:

@@ -134,6 +134,14 @@ class TestCapacityAndSweep:
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_grid("0:1:0.1")
 
+    def test_json_has_no_negative_zero(self, capsys):
+        # A pure output spectrum has entropy +0.0; JSON must not print -0.0.
+        for argv in (("--mu", "1", "capacity"), ("--mu-grid", "0:1:0.25", "sweep")):
+            code, out, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--format", "json", *argv)
+            assert code == 0
+            assert '"entropy_bell": 0.0' in out
+            assert "-0.0" not in out
+
     def test_sweep_needs_grid(self, capsys):
         code, _, err = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "sweep")
         assert code == 2
