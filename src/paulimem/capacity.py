@@ -169,10 +169,24 @@ def json_float(x: float):
 
 
 def format_number(x) -> str:
-    """CSV text of one value: true/false for booleans, else 12 significant digits."""
+    """CSV text of one cell: strings as is, true/false for booleans, else 12 significant digits."""
+    if isinstance(x, str):
+        return x
     if isinstance(x, bool):
         return "true" if x else "false"
     return format(float(x) + 0.0, ".12g")  # + 0.0 normalizes -0.0
+
+
+def csv_text(header: str, rows) -> str:
+    """The header line, then one line per row with each cell through format_number."""
+    lines = [header]
+    lines.extend(",".join(map(format_number, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def json_text(obj) -> str:
+    """obj as JSON indented by two spaces, with a final newline."""
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _capacity_results(cp: ChannelParams, mu: list, eps2: np.ndarray) -> list[CapacityResult]:
@@ -228,6 +242,17 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     return _capacity_results(cp, [channel.mu], cp.eps2[None])[0]
 
 
+def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
+    """mu_grid as a 1-D float array; raises OutOfRange naming its first value outside [0, 1]."""
+    mu = np.asarray(mu_grid, dtype=float)
+    if mu.ndim != 1:
+        raise OutOfRange(f"mu grid must be one-dimensional, got shape {mu.shape}")
+    bad = ~((mu >= 0.0) & (mu <= 1.0))
+    if bad.any():
+        channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
+    return mu
+
+
 def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
     """Capacity at every memory value of the grid, with q held fixed.
 
@@ -236,12 +261,7 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
     The curve is then one array pass; eps, the ordering and the thresholds
     are computed once.
     """
-    mu = np.asarray(mu_grid, dtype=float)
-    if mu.ndim != 1:
-        raise OutOfRange(f"mu grid must be one-dimensional, got shape {mu.shape}")
-    bad = ~((mu >= 0.0) & (mu <= 1.0))
-    if bad.any():
-        channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
+    mu = _checked_mu_grid(channel_base, mu_grid)
     cp = channel_params(channel_base)
     return _capacity_results(cp, mu.tolist(), _epsilon_matrix(cp.eps, mu[:, None, None]))
 
@@ -287,20 +307,14 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
 
 def sweep_to_csv(results: list[CapacityResult]) -> str:
     """Fixed-schema CSV of a sweep; l1..l4 hold the winning branch spectrum."""
-    lines = [SWEEP_CSV_HEADER]
-    for r in results:
-        cells = [
-            format_number(r.mu),
-            r.regime.value,
-            format_number(r.c2),
-            format_number(r.entropy_product),
-            format_number(r.entropy_bell),
-        ]
-        cells.extend(format_number(x) for x in r.winning_spectrum())
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    rows = (
+        (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell,
+         *r.winning_spectrum().tolist())
+        for r in results
+    )
+    return csv_text(SWEEP_CSV_HEADER, rows)
 
 
 def sweep_to_json(results: list[CapacityResult]) -> str:
     """JSON array of full CapacityResult objects (double precision)."""
-    return json.dumps([r.to_dict() for r in results], indent=2) + "\n"
+    return json_text([r.to_dict() for r in results])

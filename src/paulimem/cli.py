@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from decimal import Decimal, InvalidOperation
 
-from .capacity import capacity_sweep, format_number, json_float, sweep_to_csv, sweep_to_json
+from .capacity import capacity_sweep, csv_text, json_float, json_text, sweep_to_csv, sweep_to_json
 from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
 from .errors import PauliMemError
 from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimality_grid
@@ -112,13 +113,6 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
     raise _CliError("no channel given: use --q, --family or --config")
 
 
-def _kv_csv(pairs) -> str:
-    lines = ["key,value"]
-    for key, value in pairs:
-        lines.append(f"{key},{format_number(value)}")
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_params(args) -> tuple[str, int]:
     channel = _load_channel(args)
     cp = channel_params(channel)
@@ -126,42 +120,32 @@ def _cmd_params(args) -> tuple[str, int]:
         payload = {
             "q": list(channel.q),
             "mu": channel.mu,
-            "eps": [float(x) for x in cp.eps],
-            "eps_matrix": [[float(x) for x in row] for row in cp.eps2],
+            "eps": cp.eps.tolist(),
+            "eps_matrix": cp.eps2.tolist(),
             "ordering": list(cp.ordering),
         }
-        return json.dumps(payload, indent=2) + "\n", 0
-    pairs = [(f"eps_{n}", float(cp.eps[n])) for n in range(4)]
-    pairs += [(f"eps_{n}{k}", float(cp.eps2[n, k])) for n in range(4) for k in range(4)]
-    pairs += [
-        ("ordering_l", cp.ordering[0]),
-        ("ordering_m", cp.ordering[1]),
-        ("ordering_s", cp.ordering[2]),
-    ]
-    return _kv_csv(pairs), 0
+        return json_text(payload), 0
+    pairs = [(f"eps_{n}", cp.eps[n]) for n in range(4)]
+    pairs += [(f"eps_{n}{k}", cp.eps2[n, k]) for n in range(4) for k in range(4)]
+    pairs += zip(("ordering_l", "ordering_m", "ordering_s"), cp.ordering)
+    return csv_text("key,value", pairs), 0
 
 
 def _cmd_thresholds(args) -> tuple[str, int]:
     channel = _load_channel(args, default_mu=0.0)  # thresholds ignore mu
-    th = thresholds(channel)
-    values = [
-        ("mu_ml", th.mu_ml),
-        ("mu_star", th.mu_star),
-        ("mu_ml_raw", th.mu_ml_raw),
-        ("mu_star_raw", th.mu_star_raw),
-    ]
-    flags = [("degenerate", th.degenerate), ("no_threshold", th.no_threshold)]
+    # Thresholds' fields in declaration order: the floats, then the flags.
+    pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
-        payload = {key: json_float(value) for key, value in values} | dict(flags)
-        return json.dumps(payload, indent=2) + "\n", 0
-    return _kv_csv(values + flags), 0
+        payload = {k: v if isinstance(v, bool) else json_float(v) for k, v in pairs}
+        return json_text(payload), 0
+    return csv_text("key,value", pairs), 0
 
 
 def _cmd_capacity(args) -> tuple[str, int]:
     channel = _load_channel(args)
     results = capacity_sweep(channel, [channel.mu])
     if args.format == "json":
-        return json.dumps(results[0].to_dict(), indent=2) + "\n", 0
+        return json_text(results[0].to_dict()), 0
     return sweep_to_csv(results), 0
 
 

@@ -11,13 +11,12 @@ family.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from math import hypot, sqrt
 
 import numpy as np
 
-from .capacity import capacity_two_use, format_number
+from .capacity import _checked_mu_grid, capacity_two_use, csv_text, json_text
 from .channel import PauliChannel, epsilon_matrix, epsilon_vector
 from .errors import NonHermitian, OutOfRange
 from .pauli import PAULI2
@@ -39,6 +38,14 @@ _GRID_CHUNK = 16_384
 # float64 resolution (~1e-15) for ~10% more evaluations, and tighter values
 # mostly end on precision loss instead.
 _GRAD_TOL = 1e-7
+# Best grid cells that seed a refinement start each.
+_REFINEMENTS = 3
+# A search result below both closed-form entropies by more than this is a
+# finding against their optimality.
+_TOL_ENTROPY = 1e-6
+# BFGS iterations per refinement start; a start the cap stops sets
+# OracleResult.budget_exceeded.
+_MAX_ITERS = 5000
 # Caps on the user-set search sizes, checked before anything is allocated:
 # the grid holds grid_points_per_angle**6 points (10**6 at the cap) and the
 # random starts take 6 floats each.
@@ -48,29 +55,22 @@ _MAX_RESTARTS = 1000
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and seeding of the global entropy search.
-
-    max_iters caps the BFGS iterations of each refinement start; a start the
-    cap stops sets OracleResult.budget_exceeded.
-    """
+    """Grid size, random restarts and seed of the global entropy search."""
 
     grid_points_per_angle: int = 7
-    refinements: int = 3
     restarts: int = 16
     seed: int = 0
-    tol_entropy: float = 1e-6
-    max_iters: int = 5000
 
     def __post_init__(self):
-        for name in ("grid_points_per_angle", "refinements", "restarts", "max_iters"):
+        for name in ("grid_points_per_angle", "restarts"):
             if getattr(self, name) < 1:
                 raise OutOfRange(f"{name} must be positive")
         if self.grid_points_per_angle > _MAX_GRID_POINTS_PER_ANGLE:
             raise OutOfRange(f"grid_points_per_angle above {_MAX_GRID_POINTS_PER_ANGLE}")
         if self.restarts > _MAX_RESTARTS:
             raise OutOfRange(f"restarts above {_MAX_RESTARTS}")
-        if self.tol_entropy < 1e-12:
-            raise OutOfRange("tol_entropy below 1e-12 is not resolvable")
+        if self.seed < 0:
+            raise OutOfRange("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class OracleResult:
 
     entropy_product and entropy_bell are the closed-form output entropies of
     the two optimal families; gap_to_analytic = min_entropy - min(product,
-    bell), and a gap below -tol_entropy would contradict their optimality.
+    bell), and a gap below -1e-6 would contradict their optimality.
     budget_exceeded marks refinement runs stopped by the iteration cap.
     """
 
@@ -266,8 +266,8 @@ def min_entropy_bruteforce(
 
     A full grid over the six parameters (theta on [0, pi], the others on
     [0, 2 pi)), evaluated in chunks generated from the flat index, seeds BFGS
-    refinements with the exact entropy gradient from the best `refinements`
-    cells and from `restarts` random points; the raw grid optimum is kept as
+    refinements with the exact entropy gradient from the best three cells
+    and from `restarts` random points; the raw grid optimum is kept as
     a candidate too. Deterministic for a fixed config; candidate ties break
     by lexicographic parameter order. evaluations counts grid points plus
     objective calls.
@@ -285,7 +285,7 @@ def min_entropy_bruteforce(
         ent[lo:hi] = _entropy_batch(superop, _grid_rows(g, np.arange(lo, hi)))
     evaluations = n
     order = np.argsort(ent, kind="stable")
-    best_cells = _grid_rows(g, order[: cfg.refinements])
+    best_cells = _grid_rows(g, order[:_REFINEMENTS])
 
     starts = list(best_cells)
     rng = np.random.default_rng(cfg.seed)
@@ -303,7 +303,7 @@ def min_entropy_bruteforce(
             args=(superop,),
             jac=True,
             method="BFGS",
-            options={"maxiter": cfg.max_iters, "gtol": _GRAD_TOL},
+            options={"maxiter": _MAX_ITERS, "gtol": _GRAD_TOL},
         )
         evaluations += res.nfev
         # only status 1 is the iteration cap; status 2 (precision loss) means
@@ -341,23 +341,12 @@ class GridPointCheck:
     gap: float
     flag: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "s_oracle": self.s_oracle,
-            "s_product": self.s_product,
-            "s_bell": self.s_bell,
-            "gap": self.gap,
-            "flag": self.flag,
-        }
-
 
 @dataclass(frozen=True)
 class OptimalityReport:
     """Per-point checks of the optimality claim over a memory grid."""
 
     points: tuple[GridPointCheck, ...]
-    tol_entropy: float
     budget_exceeded: bool = False
 
     @property
@@ -370,16 +359,18 @@ def verify_optimality_grid(
 ) -> OptimalityReport:
     """Run the brute-force search across a memory grid.
 
-    Flags every point where the search lands below both analytic branch
-    entropies by more than cfg.tol_entropy; a flag is a finding against the
-    claimed optimality of the two families, not an execution error.
+    The whole grid is checked first, as capacity_sweep checks it, so a bad
+    value raises OutOfRange before any search runs. Flags every point where
+    the search lands below both analytic branch entropies by more than 1e-6;
+    a flag is a finding against the claimed optimality of the two families,
+    not an execution error.
     """
     if cfg is None:
         cfg = SearchConfig()
     points = []
     budget_exceeded = False
-    for mu in mu_grid:
-        ch = channel_base.with_mu(float(mu))
+    for mu in _checked_mu_grid(channel_base, mu_grid).tolist():
+        ch = channel_base.with_mu(mu)
         result = min_entropy_bruteforce(ch, cfg)
         points.append(
             GridPointCheck(
@@ -388,30 +379,20 @@ def verify_optimality_grid(
                 s_product=result.entropy_product,
                 s_bell=result.entropy_bell,
                 gap=result.gap_to_analytic,
-                flag=result.gap_to_analytic < -cfg.tol_entropy,
+                flag=result.gap_to_analytic < -_TOL_ENTROPY,
             )
         )
         budget_exceeded |= result.budget_exceeded
-    return OptimalityReport(tuple(points), cfg.tol_entropy, budget_exceeded)
+    return OptimalityReport(tuple(points), budget_exceeded)
 
 
 def report_to_json(report: OptimalityReport) -> str:
-    return json.dumps([p.to_dict() for p in report.points], indent=2) + "\n"
+    return json_text([asdict(p) for p in report.points])
 
 
+# The fields of GridPointCheck, in declaration order.
 REPORT_CSV_HEADER = "mu,s_oracle,s_product,s_bell,gap,flag"
 
 
 def report_to_csv(report: OptimalityReport) -> str:
-    lines = [REPORT_CSV_HEADER]
-    for p in report.points:
-        cells = [
-            format_number(p.mu),
-            format_number(p.s_oracle),
-            format_number(p.s_product),
-            format_number(p.s_bell),
-            format_number(p.gap),
-            format_number(p.flag),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    return csv_text(REPORT_CSV_HEADER, map(astuple, report.points))

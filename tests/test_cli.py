@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from paulimem import cli
+from paulimem import cli, oracle
 from paulimem.cli import _parse_grid, main
 
 
@@ -246,6 +246,21 @@ class TestErrorContract:
         self._assert_one_error_line(proc)
         assert "cannot write output" in proc.stderr
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--mu", "0.5", "--seed", "-1"), "seed must be nonnegative"),
+            (("--mu-grid", "0:1.5:0.5"), "mu outside [0, 1]: 1.5"),
+        ],
+    )
+    def test_bad_verify_input_runs_no_search(self, capsys, monkeypatch, argv, message):
+        searches = []
+        monkeypatch.setattr(oracle, "min_entropy_bruteforce", lambda *a: searches.append(a))
+        code, out, err = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", *argv, "verify")
+        self._assert_one_error_line(subprocess.CompletedProcess(argv, code, out, err))
+        assert message in err
+        assert searches == []
+
 
 class TestImports:
     def test_scipy_loaded_only_by_the_search(self):
@@ -311,3 +326,131 @@ class TestDeterminism:
         first = self._run_bytes(argv)
         second = self._run_bytes(argv)
         assert first == second and first[0] == 0
+
+
+# Literal stdout of these runs. The other tests parse values; this one also
+# pins key order, separators, indent and the final newline. JSON holding
+# entropies, and verify, are left out: their last digits come from log2 and
+# LAPACK and can differ between machines.
+PINNED_STDOUT = {
+    "--q 0.2,0.1,0.3,0.4 --mu 0.5 params": """\
+key,value
+eps_0,1
+eps_1,-0.4
+eps_2,0
+eps_3,0.2
+eps_00,1
+eps_01,-0.4
+eps_02,0
+eps_03,0.2
+eps_10,-0.4
+eps_11,0.58
+eps_12,0.1
+eps_13,-0.04
+eps_20,0
+eps_21,0.1
+eps_22,0.5
+eps_23,-0.2
+eps_30,0.2
+eps_31,-0.04
+eps_32,-0.2
+eps_33,0.52
+ordering_l,1
+ordering_m,3
+ordering_s,2
+""",
+    "--q 0.2,0.1,0.3,0.4 thresholds": """\
+key,value
+mu_ml,0.375
+mu_star,0.387563690714
+mu_ml_raw,0.375
+mu_star_raw,0.387563690714
+degenerate,false
+no_threshold,false
+""",
+    "--q 1,0,0,0 thresholds": """\
+key,value
+mu_ml,0
+mu_star,0
+mu_ml_raw,0
+mu_star_raw,0
+degenerate,true
+no_threshold,false
+""",
+    "--q 0.2,0.1,0.3,0.4 --mu 0.5 capacity": """\
+mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4
+0.5,entangled,0.25822143266,1.58839952914,1.48355713468,0.65,0.14,0.11,0.1
+""",
+    "--q 0.2,0.1,0.3,0.4 --mu-grid 0:1:0.25 sweep": """\
+mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4
+0,product,0.118709100769,1.76258179846,1.98026905784,0.49,0.21,0.21,0.09
+0.25,product,0.140407678374,1.71918464325,1.822429498,0.5425,0.1575,0.1575,0.1425
+0.5,entangled,0.25822143266,1.58839952914,1.48355713468,0.65,0.14,0.11,0.1
+0.75,entangled,0.528119812646,1.35101373064,0.943760374708,0.825,0.07,0.055,0.05
+1,entangled,1,0.881290899231,0,1,0,0,0
+""",
+    "--q 0.2,0.1,0.3,0.4 --mu 0.5 --format json params": """\
+{
+  "q": [
+    0.2,
+    0.1,
+    0.3,
+    0.4
+  ],
+  "mu": 0.5,
+  "eps": [
+    1.0,
+    -0.39999999999999997,
+    0.0,
+    0.20000000000000004
+  ],
+  "eps_matrix": [
+    [
+      1.0,
+      -0.39999999999999997,
+      0.0,
+      0.20000000000000004
+    ],
+    [
+      -0.39999999999999997,
+      0.58,
+      0.10000000000000002,
+      -0.04000000000000001
+    ],
+    [
+      0.0,
+      0.10000000000000002,
+      0.5,
+      -0.19999999999999998
+    ],
+    [
+      0.20000000000000004,
+      -0.04000000000000001,
+      -0.19999999999999998,
+      0.52
+    ]
+  ],
+  "ordering": [
+    1,
+    3,
+    2
+  ]
+}
+""",
+    "--q 0.2,0.1,0.3,0.4 --format json thresholds": """\
+{
+  "mu_ml": 0.37499999999999994,
+  "mu_star": 0.38756369071352975,
+  "mu_ml_raw": 0.37499999999999994,
+  "mu_star_raw": 0.38756369071352975,
+  "degenerate": false,
+  "no_threshold": false
+}
+""",
+}
+
+
+def test_stdout_bytes_pinned(capsys):
+    for argv, expected in PINNED_STDOUT.items():
+        code, out, _ = run_cli(capsys, *argv.split())
+        assert (code, out) == (0, expected), argv

@@ -24,6 +24,7 @@ from paulimem import (
     thresholds,
     verify_optimality_grid,
 )
+from paulimem import oracle
 from paulimem.oracle import (
     _entropy_and_gradient,
     _grid_rows,
@@ -166,14 +167,13 @@ class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
         assert cfg.grid_points_per_angle == 7
-        assert cfg.refinements == 3
         assert cfg.restarts == 16
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
             SearchConfig(grid_points_per_angle=0)
-        with pytest.raises(OutOfRange):
-            SearchConfig(tol_entropy=1e-13)
+        with pytest.raises(OutOfRange, match="seed"):
+            SearchConfig(seed=-1)
 
     def test_sizes_bounded(self):
         # validation only: a config is plain data, nothing is allocated
@@ -229,8 +229,9 @@ class TestBruteForce:
         assert a.best_params == b.best_params
         assert a.evaluations == b.evaluations
 
-    def test_budget_flag(self):
-        cfg = SearchConfig(grid_points_per_angle=3, restarts=1, max_iters=1)
+    def test_budget_flag(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_ITERS", 1)
+        cfg = SearchConfig(grid_points_per_angle=3, restarts=1)
         res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.4), cfg)
         assert res.budget_exceeded
         assert np.isfinite(res.min_entropy)  # best-so-far is still returned
@@ -309,6 +310,19 @@ class TestVerifyGrid:
             assert point.gap >= -1e-6
             assert point.gap <= 1e-4
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1, 1.5])
+    @pytest.mark.parametrize("where", [0, 1, 2])
+    def test_rejects_bad_value_before_any_search(self, monkeypatch, bad, where):
+        searches = []
+        monkeypatch.setattr(oracle, "min_entropy_bruteforce", lambda *a: searches.append(a))
+        grid = [0.0, 0.5, 1.0]
+        grid[where] = bad
+        with pytest.raises(OutOfRange) as exc:
+            verify_optimality_grid(PauliChannel(ILLUSTRATION_Q, 0.0), grid)
+        if np.isfinite(bad):
+            assert str(exc.value) == f"mu outside [0, 1]: {bad}"
+        assert searches == []
+
     def test_report_serialization(self):
         cfg = SearchConfig(grid_points_per_angle=4, restarts=2)
         report = verify_optimality_grid(PauliChannel(ILLUSTRATION_Q, 0.0), [0.5, 1.0], cfg)
@@ -327,7 +341,7 @@ def test_weak_completeness_on_illustration():
     # grid 7 / 3 refinements / 16 restarts lands within 1e-4 bits of the
     # analytic optimum across the whole memory range
     base = PauliChannel(ILLUSTRATION_Q, 0.0)
-    cfg = SearchConfig(grid_points_per_angle=7, refinements=3, restarts=16)
+    cfg = SearchConfig(grid_points_per_angle=7, restarts=16)
     grid = [round(0.1 * k, 1) for k in range(11)]
     report = verify_optimality_grid(base, grid, cfg)
     assert not report.any_flag
