@@ -315,6 +315,62 @@ def sweep_to_csv(results: list[CapacityResult]) -> str:
     return csv_text(SWEEP_CSV_HEADER, rows)
 
 
+# One element of json_text([r.to_dict() for r in results]) up to its
+# thresholds: mu, regime, c2, both entropies and the eight spectrum values.
+_JSON_ROW = """\
+  {{
+    "mu": {},
+    "regime": "{}",
+    "c2": {},
+    "entropy_product": {},
+    "entropy_bell": {},
+    "lambdas_product": [
+      {},
+      {},
+      {},
+      {}
+    ],
+    "lambdas_bell": [
+      {},
+      {},
+      {},
+      {}
+    ],
+{}"""
+
+
+def _json_tail(r: CapacityResult) -> str:
+    """The rest of r's JSON element after the spectra, as json_text renders it."""
+    d = r.to_dict()
+    tail = {k: d[k] for k in ("mu_ml", "mu_star", "optimal_state")}
+    return json_text([tail])[len("[\n  {\n"):-len("\n]\n")]
+
+
 def sweep_to_json(results: list[CapacityResult]) -> str:
-    """JSON array of full CapacityResult objects (double precision)."""
-    return json_text([r.to_dict() for r in results])
+    """JSON array of full CapacityResult objects (double precision).
+
+    Byte-identical to json_text([r.to_dict() for r in results]), which
+    indent=2 confines to the pure-Python encoder. Each element is instead
+    filled into one row template, every value through float.__repr__ as in
+    json; the value fields must therefore be finite floats, as they are in
+    every result capacity_two_use and capacity_sweep return. The constant
+    tail (thresholds, NaN as null, and the descriptor) is rendered through
+    to_dict and json_text once per distinct (mu_ml, mu_star, descriptor).
+    """
+    if not results:
+        return json_text([])
+    num = float.__repr__
+    tails = {}
+    rows = []
+    for r in results:
+        # Thresholds by identity (results keeps them alive), since 0.0 == -0.0
+        # prints two ways; the descriptor by its repr, since it is a dict.
+        key = (id(r.mu_ml), id(r.mu_star), repr(r.optimal_state_descriptor))
+        tail = tails.get(key)
+        if tail is None:
+            tail = tails[key] = _json_tail(r)
+        rows.append(_JSON_ROW.format(
+            num(r.mu), r.regime.value, num(r.c2), num(r.entropy_product), num(r.entropy_bell),
+            *map(num, r.lambdas_product.tolist()), *map(num, r.lambdas_bell.tolist()), tail,
+        ))
+    return "[\n" + ",\n".join(rows) + "\n]\n"

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
 from math import hypot, sqrt
+from operator import index
 
 import numpy as np
 
@@ -62,6 +63,12 @@ class SearchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("grid_points_per_angle", "restarts", "seed"):
+            value = getattr(self, name)
+            try:
+                index(value)  # ints and numpy integers; not floats, not strings
+            except TypeError:
+                raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
         for name in ("grid_points_per_angle", "restarts"):
             if getattr(self, name) < 1:
                 raise OutOfRange(f"{name} must be positive")

@@ -1,8 +1,11 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimem import (
     InvalidSpectrum,
@@ -29,7 +32,7 @@ from paulimem import (
 )
 from paulimem import capacity as capacity_module
 from paulimem import channel as channel_module
-from paulimem.capacity import SWEEP_CSV_HEADER
+from paulimem.capacity import SWEEP_CSV_HEADER, json_text
 from paulimem.cli import _parse_grid
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
@@ -363,3 +366,55 @@ class TestSerialization:
         assert entry["c2"] == results[0].c2  # full double precision
         assert len(entry["lambdas_product"]) == 4
         assert entry["optimal_state"] == {"family": "product", "l": 1}
+
+
+def reference_json(results):
+    """The writer sweep_to_json must match byte for byte."""
+    return json_text([r.to_dict() for r in results])
+
+
+class TestSweepJson:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.3, 1.0, 3.0]),
+        mu=st.lists(st.floats(0.0, 1.0), max_size=12),
+    )
+    def test_dirichlet_channels(self, seed, alpha, mu):
+        q = np.random.default_rng(seed).dirichlet(np.full(4, alpha))
+        results = capacity_sweep(PauliChannel(tuple(q), 0.0), [0.0, *mu, 1.0])
+        assert results[-1].entropy_bell == 0.0  # a pure spectrum at mu = 1
+        assert sweep_to_json(results) == reference_json(results)
+
+    @pytest.mark.parametrize("q", [(0.25,) * 4, (0.5, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0)])
+    def test_tie_and_degenerate_channels(self, q):
+        results = capacity_sweep(PauliChannel(q, 0.0), np.linspace(0.0, 1.0, 17))
+        assert sweep_to_json(results) == reference_json(results)
+
+    def test_concatenated_sweeps(self):
+        # Same regimes, different thresholds: the tail is not a function of the regime.
+        grid = np.linspace(0.0, 1.0, 9)
+        results = (capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid)
+                   + capacity_sweep(depolarizing(0.25, 0.0), grid)
+                   + capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1]))
+        assert {r.regime for r in results} >= {Regime.PRODUCT, Regime.ENTANGLED}
+        assert sweep_to_json(results) == reference_json(results)
+
+    def test_nan_threshold_prints_null(self):
+        base = capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.5))
+        no_star = dataclasses.replace(base, mu_star=float("nan"))
+        results = [base, no_star, base]
+        text = sweep_to_json(results)
+        assert text == reference_json(results)
+        assert json.loads(text)[1]["mu_star"] is None
+
+    def test_signed_zero_thresholds(self):
+        # 0.0 == -0.0, yet json prints them apart.
+        base = capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.5))
+        results = [dataclasses.replace(base, mu_ml=0.0), dataclasses.replace(base, mu_ml=-0.0)]
+        assert sweep_to_json(results) == reference_json(results)
+
+    def test_empty_and_single_row(self):
+        assert sweep_to_json([]) == reference_json([]) == "[]\n"
+        one = [capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.25))]
+        assert sweep_to_json(one) == reference_json(one)

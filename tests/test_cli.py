@@ -447,6 +447,93 @@ mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4
   "no_threshold": false
 }
 """,
+    "--q 0.2,0.1,0.3,0.4 --mu-grid 0:1:0.5 --format json sweep": """\
+[
+  {
+    "mu": 0.0,
+    "regime": "product",
+    "c2": 0.1187091007693073,
+    "entropy_product": 1.7625817984613854,
+    "entropy_bell": 1.980269057838362,
+    "lambdas_product": [
+      0.49,
+      0.21000000000000002,
+      0.21000000000000002,
+      0.09
+    ],
+    "lambdas_bell": [
+      0.3,
+      0.27999999999999997,
+      0.22000000000000003,
+      0.2
+    ],
+    "mu_ml": 0.37499999999999994,
+    "mu_star": 0.38756369071352975,
+    "optimal_state": {
+      "family": "product",
+      "l": 1
+    }
+  },
+  {
+    "mu": 0.5,
+    "regime": "entangled",
+    "c2": 0.25822143266033704,
+    "entropy_product": 1.5883995291448203,
+    "entropy_bell": 1.483557134679326,
+    "lambdas_product": [
+      0.595,
+      0.19500000000000003,
+      0.10500000000000001,
+      0.10500000000000001
+    ],
+    "lambdas_bell": [
+      0.65,
+      0.14,
+      0.11000000000000001,
+      0.1
+    ],
+    "mu_ml": 0.37499999999999994,
+    "mu_star": 0.38756369071352975,
+    "optimal_state": {
+      "family": "bell",
+      "signs": [
+        1,
+        -1,
+        1
+      ]
+    }
+  },
+  {
+    "mu": 1.0,
+    "regime": "entangled",
+    "c2": 1.0,
+    "entropy_product": 0.8812908992306927,
+    "entropy_bell": 0.0,
+    "lambdas_product": [
+      0.7,
+      0.30000000000000004,
+      0.0,
+      0.0
+    ],
+    "lambdas_bell": [
+      1.0,
+      0.0,
+      0.0,
+      0.0
+    ],
+    "mu_ml": 0.37499999999999994,
+    "mu_star": 0.38756369071352975,
+    "optimal_state": {
+      "family": "bell",
+      "signs": [
+        1,
+        -1,
+        1
+      ]
+    }
+  }
+]
+""",
 }
 
 

@@ -175,6 +175,12 @@ class TestSearchConfig:
         with pytest.raises(OutOfRange, match="seed"):
             SearchConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["grid_points_per_angle", "restarts", "seed"])
+    def test_validation_rejects_non_integer(self, field):
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            SearchConfig(**{field: 2.5})
+        SearchConfig(**{field: np.int64(2)})  # numpy integers are integers
+
     def test_sizes_bounded(self):
         # validation only: a config is plain data, nothing is allocated
         SearchConfig(grid_points_per_angle=10, restarts=1000)
