@@ -260,9 +260,11 @@ def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
 
 def _config_number(value, key: str) -> float:
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRange(f"config value {key!r} is not a number: {value!r}") from None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise OutOfRange(f"config value {key!r} is not a number: {value!r}")
 
 
 def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:

@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
-    """Build the channel from flags or config; --mu wins over the config file."""
+    """Build the channel from flags or config; mu from --mu, else the file, else default_mu."""
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -100,6 +100,8 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
             raise _CliError(f"cannot read config: {exc}") from None
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise _CliError(f"malformed config: {exc}") from None
+        if args.mu is None and isinstance(cfg, dict):
+            return channel_from_config(cfg, mu=cfg.get("mu", default_mu))
         return channel_from_config(cfg, mu=args.mu)
     mu = args.mu if args.mu is not None else default_mu
     if mu is None:

@@ -379,6 +379,11 @@ class TestConfig:
             ({"family": "mp", "p": [0.1], "mu": 0.3}, "p"),
             ({"q": [0.2, 0.1, 0.3, 0.4], "mu": {"value": 0.5}}, "mu"),
             ({"q": [0.2, 0.1, 0.3, 0.4], "mu": 10**400}, "mu"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": True}, "mu"),
+            ({"q": [True, False, False, False], "mu": 0.5}, "q"),
+            ({"family": "depolarizing", "p": False, "mu": 0.3}, "p"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": "0.5"}, "mu"),
+            ({"family": "mp", "p": "0.5", "mu": 0.3}, "p"),
         ],
     )
     def test_non_numbers_name_their_key(self, cfg, key):

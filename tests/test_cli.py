@@ -203,6 +203,28 @@ class TestConfigFile:
         assert code == 2
         assert "cannot read" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["thresholds"],
+            ["--mu-grid", "0:1:0.5", "sweep"],
+            ["--mu-grid", "0.5:1:0.5", "--grid-points", "3", "--restarts", "2", "verify"],
+        ],
+    )
+    def test_config_without_mu_where_mu_is_not_needed(self, capsys, tmp_path, argv):
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps({"q": [0.2, 0.1, 0.3, 0.4]}))
+        from_config = run_cli(capsys, "--config", str(cfg), *argv)
+        assert from_config == run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", *argv)
+        assert from_config[0] == 0
+
+    def test_config_without_mu_where_mu_is_needed(self, capsys, tmp_path):
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps({"q": [0.2, 0.1, 0.3, 0.4]}))
+        code, out, err = run_cli(capsys, "--config", str(cfg), "capacity")
+        assert (code, out) == (2, "")
+        assert "missing 'mu'" in err
+
     def test_config_conflicts_with_q(self, capsys, tmp_path):
         cfg = tmp_path / "channel.json"
         cfg.write_text(json.dumps({"q": [1, 0, 0, 0], "mu": 0.0}))
@@ -270,6 +292,18 @@ class TestImports:
             "from paulimem.cli import main\n"
             "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu', '0.5', 'capacity']) == 0\n"
             "assert 'scipy' not in sys.modules\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_search_runs_without_scipy(self):
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None  # any import of scipy now fails\n"
+            "from paulimem.cli import main\n"
+            "argv = ['--q', '0.2,0.1,0.3,0.4', '--mu', '0.5',\n"
+            "        '--grid-points', '3', '--restarts', '2', 'verify']\n"
+            "sys.exit(main(argv))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

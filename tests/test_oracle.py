@@ -200,11 +200,13 @@ class TestBruteForce:
         res = min_entropy_bruteforce(PauliChannel((1, 0, 0, 0), 0.5), cfg)
         assert res.min_entropy < 1e-9
         assert res.evaluations > 5**6
+        assert not res.budget_exceeded
 
     def test_full_correlation_reaches_zero_on_bell(self):
         cfg = SearchConfig(grid_points_per_angle=5, restarts=4)
         res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 1.0), cfg)
         assert res.min_entropy < 1e-9
+        assert not res.budget_exceeded
         # the minimizer is (close to) a Bell state: pure output
         assert res.best_spectrum[0] == pytest.approx(1.0, abs=1e-6)
 
@@ -273,7 +275,8 @@ class TestBruteForce:
             ch = random_channel(rng, mu=float(rng.uniform(0.0, 0.99)))
             superop = channel_superoperator(ch)
             x = random_params(rng).as_array()
-            value, grad = _entropy_and_gradient(x, superop)
+            value, grad = _entropy_and_gradient(x[None], superop)
+            value, grad = value[0], grad[0]
             assert abs(value - output_entropies(ch, x)[0]) <= 1e-12
             up = x + h * np.eye(6)
             down = x - h * np.eye(6)
