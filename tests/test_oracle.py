@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paulimem import (
     NonHermitian,
@@ -10,6 +14,7 @@ from paulimem import (
     apply_channel,
     bell_state,
     channel_params,
+    depolarizing,
     density_matrix,
     eig_hermitian4,
     entropy_bits,
@@ -27,7 +32,10 @@ from paulimem import (
 from paulimem import oracle
 from paulimem.oracle import (
     _entropy_and_gradient,
+    _entropy_floor,
+    _grid_best,
     _grid_rows,
+    _mirror_canonical_phases,
     channel_superoperator,
     report_to_csv,
     report_to_json,
@@ -299,6 +307,111 @@ class TestBruteForce:
         chunks = [_grid_rows(g, np.arange(lo, min(lo + 50, g**6))) for lo in range(0, g**6, 50)]
         assert np.array_equal(np.concatenate(chunks), mesh)
         assert np.array_equal(_grid_rows(g, np.array([g**6 - 1, 5, 0])), mesh[[g**6 - 1, 5, 0]])
+
+
+# Four nonnegative masses, some exactly zero, normalized to a spectrum.
+spectra = (
+    st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
+    .filter(lambda m: sum(m) > 1e-3)
+    .map(lambda m: np.array(m) / sum(m))
+)
+
+
+def _canonical_flat(g):
+    """Ascending flat indices of the cells the grid stage visits."""
+    return (np.arange(g**3)[:, None] * g**3 + _mirror_canonical_phases(g)).ravel()
+
+
+def _mirrored_flat(g, flat):
+    """Flat indices with each phase index k replaced by (g - k) mod g."""
+    idx = np.array(np.unravel_index(flat, (g,) * 6))
+    idx[3:] = -idx[3:] % g
+    return np.ravel_multi_index(tuple(idx), (g,) * 6)
+
+
+class TestGridStage:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lam=spectra)
+    def test_entropy_floor_is_a_lower_bound(self, lam):
+        floor = _entropy_floor(np.array([np.sum(lam**2)]))[0]
+        assert floor <= entropy_bits(lam) + 1e-12
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(k=st.integers(min_value=1, max_value=4), t=st.floats(min_value=0.0, max_value=1.0))
+    def test_entropy_floor_is_reached_by_the_extremal_family(self, k, t):
+        # k equal masses a in [1/(k+1), 1/k] and one mass 1 - k a below them
+        a = 1.0 / (k + 1) + t * (1.0 / k - 1.0 / (k + 1)) if k < 4 else 0.25
+        lam = np.zeros(4)
+        lam[:k] = a
+        if k < 4:
+            lam[k] = 1.0 - k * a
+        floor = _entropy_floor(np.array([np.sum(lam**2)]))[0]
+        assert floor == pytest.approx(entropy_bits(lam), abs=1e-12)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(q=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4).filter(
+        lambda m: sum(m) > 1e-3), mu=st.floats(min_value=0.0, max_value=1.0))
+    def test_superoperator_is_real(self, q, mu):
+        ch = PauliChannel(tuple(np.array(q) / sum(q)), mu)
+        assert np.all(channel_superoperator(ch).imag == 0.0)
+
+    def test_mirrored_cells_have_equal_entropy(self, rng):
+        g = 4
+        flat = np.arange(g**6)
+        for _ in range(3):
+            ch = random_channel(rng)
+            direct = output_entropies(ch, _grid_rows(g, flat))
+            mirrored = output_entropies(ch, _grid_rows(g, _mirrored_flat(g, flat)))
+            assert np.abs(direct - mirrored).max() <= 1e-12
+
+    @pytest.mark.parametrize("g", range(1, 11))
+    def test_canonical_phases_pick_one_of_each_mirror_pair(self, g):
+        phases = _mirror_canonical_phases(g)
+        fixed = 1 if g % 2 else 8
+        assert phases.size == (g**3 + fixed) // 2
+        assert np.all(np.diff(phases) > 0)
+        mirrors = _mirrored_flat(g, phases)  # the cells at amplitude index 0
+        assert np.union1d(phases, mirrors).size == g**3
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7])
+    @pytest.mark.parametrize(
+        "channel",
+        [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.0, 0.3, 0.5, 0.8, 1.0)]
+        + [
+            depolarizing(0.25, 0.3),
+            PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5),  # every cell ties at 0
+            PauliChannel((0.25,) * 4, 0.0),  # every output is I/4
+            PauliChannel((0.5, 0.5, 0.0, 0.0), 0.2),
+        ],
+        ids=lambda ch: f"{ch.q}-{ch.mu}",
+    )
+    def test_pruned_best_cells_match_a_full_pass(self, g, channel):
+        flat = _canonical_flat(g)
+        full = output_entropies(channel, _grid_rows(g, flat))
+        order = np.argsort(full, kind="stable")[:3]
+        values, cells = _grid_best(channel_superoperator(channel), g)
+        assert np.array_equal(cells, flat[order])
+        assert np.array_equal(values, full[order])
+
+    def test_grid_stage_cost(self, monkeypatch):
+        # a count, not a time: rows diagonalized by the grid stage
+        rows = []
+        entropies = oracle._entropies
+        monkeypatch.setattr(oracle, "_entropies", lambda out: rows.append(len(out)) or entropies(out))
+        min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5))
+        assert sum(rows) < 10_000
+
+    def test_search_memory(self):
+        # tracemalloc sees numpy's buffers, so this holds on any machine:
+        # 16,384-row grid chunks peaked at 14.3 MB, 8,192-row ones at 7.6 MB
+        ch = PauliChannel(ILLUSTRATION_Q, 0.5)
+        tracemalloc.start()
+        try:
+            min_entropy_bruteforce(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestVerifyGrid:
