@@ -6,6 +6,7 @@ brute-force entropy-minimization check over all two-qubit pure states.
 """
 
 from .capacity import (
+    CapacityCurve,
     CapacityResult,
     Regime,
     capacity_sweep,

@@ -10,12 +10,22 @@ input achieves it.
 from __future__ import annotations
 
 import json
+import operator
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 import numpy as np
 
-from .channel import ChannelParams, PauliChannel, _epsilon_matrix, apply_channel, channel_params
+from .channel import (
+    ChannelParams,
+    PauliChannel,
+    Thresholds,
+    _epsilon_matrix,
+    apply_channel,
+    channel_params,
+)
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2
 
@@ -24,6 +34,8 @@ _TIE_TOL = 1e-12
 _ENSEMBLE_ENTROPY_TOL = 1e-10
 
 SWEEP_CSV_HEADER = "mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4"
+# Every CSV number, in format_number and in the sweep's CSV row template.
+_NUMBER_SPEC = ".12g"
 
 
 class Regime(str, Enum):
@@ -174,7 +186,7 @@ def format_number(x) -> str:
         return x
     if isinstance(x, bool):
         return "true" if x else "false"
-    return format(float(x) + 0.0, ".12g")  # + 0.0 normalizes -0.0
+    return format(float(x) + 0.0, _NUMBER_SPEC)  # + 0.0 normalizes -0.0
 
 
 def csv_text(header: str, rows) -> str:
@@ -189,43 +201,36 @@ def json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _capacity_results(cp: ChannelParams, mu: list, eps2: np.ndarray) -> list[CapacityResult]:
-    """CapacityResult at each memory value in mu, from one pass of the array kernel.
+def _regime(s_p: float, s_b: float) -> Regime:
+    """The family of smaller output entropy; entropies within 1e-12 are a TIE."""
+    if abs(s_p - s_b) < _TIE_TOL:
+        return Regime.TIE
+    if s_p < s_b:
+        return Regime.PRODUCT
+    return Regime.ENTANGLED
 
-    eps2 holds the eps_kk' matrix at each mu, shape (len(mu), 4, 4); cp
-    supplies eps, the ordering and the thresholds, none of which depends on mu.
-    """
-    l = cp.ordering[0]
-    lam = _branch_spectra(eps2, l, cp.eps[l])
-    s = _entropies(lam)
-    th = cp.thresholds
-    results = []
-    for m, pair, (s_p, s_b) in zip(mu, lam, s.tolist()):
-        if abs(s_p - s_b) < _TIE_TOL:
-            regime = Regime.TIE
-        elif s_p < s_b:
-            regime = Regime.PRODUCT
-        else:
-            regime = Regime.ENTANGLED
-        if regime is Regime.ENTANGLED:
-            descriptor = {"family": "bell", "signs": [1, -1, 1]}
-        else:
-            descriptor = {"family": "product", "l": l}
-        results.append(
-            CapacityResult(
-                mu=m,
-                regime=regime,
-                lambdas_product=pair[0],
-                lambdas_bell=pair[1],
-                entropy_product=s_p,
-                entropy_bell=s_b,
-                c2=1.0 - min(s_p, s_b) / 2.0,
-                mu_ml=th.mu_ml,
-                mu_star=th.mu_star,
-                optimal_state_descriptor=descriptor,
-            )
-        )
-    return results
+
+def _result(
+    mu: float, lam: np.ndarray, s_p: float, s_b: float, l: int, th: Thresholds
+) -> CapacityResult:
+    """CapacityResult at one mu from both branch spectra lam, shape (2, 4), and their entropies."""
+    regime = _regime(s_p, s_b)
+    if regime is Regime.ENTANGLED:
+        descriptor = {"family": "bell", "signs": [1, -1, 1]}
+    else:
+        descriptor = {"family": "product", "l": l}
+    return CapacityResult(
+        mu=mu,
+        regime=regime,
+        lambdas_product=lam[0],
+        lambdas_bell=lam[1],
+        entropy_product=s_p,
+        entropy_bell=s_b,
+        c2=1.0 - min(s_p, s_b) / 2.0,
+        mu_ml=th.mu_ml,
+        mu_star=th.mu_star,
+        optimal_state_descriptor=descriptor,
+    )
 
 
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
@@ -239,7 +244,44 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     are then optimal.
     """
     cp = channel_params(channel)
-    return _capacity_results(cp, [channel.mu], cp.eps2[None])[0]
+    l = cp.ordering[0]
+    lam = _branch_spectra(cp.eps2[None], l, cp.eps[l])[0]
+    s_p, s_b = _entropies(lam).tolist()
+    return _result(channel.mu, lam, s_p, s_b, l, cp.thresholds)
+
+
+@dataclass(frozen=True, eq=False)
+class CapacityCurve(Sequence):
+    """Two-use capacity along a memory grid, held as read-only columns.
+
+    mu has shape (N,); spectra (N, 2, 4) holds the product then the Bell
+    spectrum at each mu, each sorted descending; entropies (N, 2) holds their
+    entropies. l (the dominant axis) and thresholds do not depend on mu.
+    Entry i is built on indexing and equals capacity_two_use at mu[i]; a
+    slice is again a curve.
+    """
+
+    mu: np.ndarray
+    spectra: np.ndarray
+    entropies: np.ndarray
+    l: int
+    thresholds: Thresholds
+
+    def __post_init__(self):
+        for column in (self.mu, self.spectra, self.entropies):
+            column.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.mu)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CapacityCurve(
+                self.mu[i], self.spectra[i], self.entropies[i], self.l, self.thresholds
+            )
+        i = operator.index(i)
+        s_p, s_b = self.entropies[i].tolist()
+        return _result(self.mu[i].item(), self.spectra[i], s_p, s_b, self.l, self.thresholds)
 
 
 def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
@@ -253,7 +295,7 @@ def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
     return mu
 
 
-def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
+def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
     """Capacity at every memory value of the grid, with q held fixed.
 
     The grid is checked as a whole first: the first value outside [0, 1]
@@ -261,9 +303,11 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> list[CapacityResult]:
     The curve is then one array pass; eps, the ordering and the thresholds
     are computed once.
     """
-    mu = _checked_mu_grid(channel_base, mu_grid)
+    mu = _checked_mu_grid(channel_base, mu_grid).copy()  # the curve owns, and freezes, its grid
     cp = channel_params(channel_base)
-    return _capacity_results(cp, mu.tolist(), _epsilon_matrix(cp.eps, mu[:, None, None]))
+    l = cp.ordering[0]
+    lam = _branch_spectra(_epsilon_matrix(cp.eps, mu[:, None, None]), l, cp.eps[l])
+    return CapacityCurve(mu, lam, _entropies(lam), l, cp.thresholds)
 
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> list[np.ndarray]:
@@ -305,38 +349,70 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
     return deviation
 
 
-def sweep_to_csv(results: list[CapacityResult]) -> str:
-    """Fixed-schema CSV of a sweep; l1..l4 hold the winning branch spectrum."""
-    rows = (
-        (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell,
-         *r.winning_spectrum().tolist())
-        for r in results
-    )
-    return csv_text(SWEEP_CSV_HEADER, rows)
+def _table(results) -> tuple[np.ndarray, Iterable]:
+    """The writers' input: one row (mu, c2, entropy_product, entropy_bell,
+    *lambdas_product, *lambdas_bell) per result, shape (N, 12), and per row
+    the key of its JSON tail up to the regime.
+
+    A curve's rows share l and the thresholds, so its keys are all None. A
+    list's rows are keyed by the identity of their thresholds (the list keeps
+    them alive), since 0.0 == -0.0 prints two ways, and by the repr of their
+    descriptor, since that is a dict.
+    """
+    if isinstance(results, CapacityCurve):
+        c2 = 1.0 - results.entropies.min(axis=1) / 2.0
+        spectra = results.spectra.reshape(len(results), 8)
+        return np.column_stack((results.mu, c2, results.entropies, spectra)), repeat(None)
+    rows = np.array(
+        [(r.mu, r.c2, r.entropy_product, r.entropy_bell, *r.lambdas_product, *r.lambdas_bell)
+         for r in results],
+        dtype=float,
+    ).reshape(-1, 12)
+    return rows, [(id(r.mu_ml), id(r.mu_star), repr(r.optimal_state_descriptor)) for r in results]
+
+
+_CSV_ROW = ",".join(["%" + _NUMBER_SPEC, "%s"] + ["%" + _NUMBER_SPEC] * 7)
+
+
+def sweep_to_csv(results: Sequence[CapacityResult]) -> str:
+    """Fixed-schema CSV of a sweep; l1..l4 hold the winning branch spectrum.
+
+    Byte-identical to csv_text(SWEEP_CSV_HEADER, ...) over each result's mu,
+    regime, c2, both entropies and winning_spectrum(), for every result
+    capacity_two_use and capacity_sweep return: the regime, and with it the
+    winning branch, is taken from the two entropies.
+    """
+    table, _ = _table(results)
+    lines = [SWEEP_CSV_HEADER]
+    for row in (table + 0.0).tolist():  # + 0.0 normalizes -0.0, as in format_number
+        regime = _regime(row[2], row[3])
+        lam = row[8:] if regime is Regime.ENTANGLED else row[4:8]
+        lines.append(_CSV_ROW % (row[0], regime.value, row[1], row[2], row[3], *lam))
+    return "\n".join(lines) + "\n"
 
 
 # One element of json_text([r.to_dict() for r in results]) up to its
 # thresholds: mu, regime, c2, both entropies and the eight spectrum values.
 _JSON_ROW = """\
-  {{
-    "mu": {},
-    "regime": "{}",
-    "c2": {},
-    "entropy_product": {},
-    "entropy_bell": {},
+  {
+    "mu": %r,
+    "regime": "%s",
+    "c2": %r,
+    "entropy_product": %r,
+    "entropy_bell": %r,
     "lambdas_product": [
-      {},
-      {},
-      {},
-      {}
+      %r,
+      %r,
+      %r,
+      %r
     ],
     "lambdas_bell": [
-      {},
-      {},
-      {},
-      {}
+      %r,
+      %r,
+      %r,
+      %r
     ],
-{}"""
+%s"""
 
 
 def _json_tail(r: CapacityResult) -> str:
@@ -346,31 +422,27 @@ def _json_tail(r: CapacityResult) -> str:
     return json_text([tail])[len("[\n  {\n"):-len("\n]\n")]
 
 
-def sweep_to_json(results: list[CapacityResult]) -> str:
+def sweep_to_json(results: Sequence[CapacityResult]) -> str:
     """JSON array of full CapacityResult objects (double precision).
 
     Byte-identical to json_text([r.to_dict() for r in results]), which
     indent=2 confines to the pure-Python encoder. Each element is instead
-    filled into one row template, every value through float.__repr__ as in
-    json; the value fields must therefore be finite floats, as they are in
-    every result capacity_two_use and capacity_sweep return. The constant
-    tail (thresholds, NaN as null, and the descriptor) is rendered through
-    to_dict and json_text once per distinct (mu_ml, mu_star, descriptor).
+    filled into one row template, every value through float.__repr__ (%r) as
+    in json; so the value fields must be finite floats and the regime the one
+    the two entropies give, as in every result capacity_two_use and
+    capacity_sweep return. The tail (thresholds, NaN as null, and the
+    descriptor) is rendered through to_dict and json_text once per distinct
+    tail.
     """
     if not results:
         return json_text([])
-    num = float.__repr__
+    table, keys = _table(results)
     tails = {}
     rows = []
-    for r in results:
-        # Thresholds by identity (results keeps them alive), since 0.0 == -0.0
-        # prints two ways; the descriptor by its repr, since it is a dict.
-        key = (id(r.mu_ml), id(r.mu_star), repr(r.optimal_state_descriptor))
-        tail = tails.get(key)
+    for i, (row, key) in enumerate(zip(table.tolist(), keys)):
+        regime = _regime(row[2], row[3])
+        tail = tails.get((key, regime))
         if tail is None:
-            tail = tails[key] = _json_tail(r)
-        rows.append(_JSON_ROW.format(
-            num(r.mu), r.regime.value, num(r.c2), num(r.entropy_product), num(r.entropy_bell),
-            *map(num, r.lambdas_product.tolist()), *map(num, r.lambdas_bell.tolist()), tail,
-        ))
+            tail = tails[key, regime] = _json_tail(results[i])
+        rows.append(_JSON_ROW % (row[0], regime.value, *row[1:], tail))
     return "[\n" + ",\n".join(rows) + "\n]\n"

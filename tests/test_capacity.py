@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimem import (
+    CapacityCurve,
     InvalidSpectrum,
     OutOfRange,
     PauliChannel,
@@ -32,7 +34,7 @@ from paulimem import (
 )
 from paulimem import capacity as capacity_module
 from paulimem import channel as channel_module
-from paulimem.capacity import SWEEP_CSV_HEADER, json_text
+from paulimem.capacity import SWEEP_CSV_HEADER, csv_text, json_text
 from paulimem.cli import _parse_grid
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
@@ -192,7 +194,7 @@ class TestSweep:
         assert labels[0] is Regime.PRODUCT and labels[-1] is Regime.ENTANGLED
 
     def test_empty_grid(self):
-        assert capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), []) == []
+        assert len(capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [])) == 0
 
     def test_rejects_bad_mu(self):
         with pytest.raises(OutOfRange):
@@ -303,12 +305,78 @@ class TestSweepGrid:
             assert [r.to_dict() for r in results] == [r.to_dict() for r in runs[0]]
 
     def test_empty_array_grid(self):
-        assert capacity_sweep(self.BASE, np.array([])) == []
+        assert len(capacity_sweep(self.BASE, np.array([]))) == 0
 
     def test_rejects_grid_that_is_not_a_list(self):
         for g in (0.5, [[0.0, 0.5]], np.zeros((3, 1))):
             with pytest.raises(OutOfRange, match="one-dimensional"):
                 capacity_sweep(self.BASE, g)
+
+
+class TestCapacityCurve:
+    BASE = PauliChannel(ILLUSTRATION_Q, 0.0)
+
+    def curve(self):
+        return capacity_sweep(self.BASE, np.linspace(0.0, 1.0, 11))
+
+    def test_negative_indices_and_bounds(self):
+        curve = self.curve()
+        n = len(curve)
+        for i in range(-n, 0):
+            assert curve[i].to_dict() == curve[n + i].to_dict()
+        for i in (n, n + 5, -n - 1):
+            with pytest.raises(IndexError):
+                curve[i]
+        with pytest.raises(TypeError):
+            curve[0.5]
+
+    def test_slices_are_curves(self):
+        curve = self.curve()
+        entries = [curve[i] for i in range(len(curve))]
+        for sl in (slice(None), slice(2, 7), slice(None, None, -3), slice(8, 2, -2), slice(20, 30)):
+            part = curve[sl]
+            assert isinstance(part, CapacityCurve)
+            assert [r.to_dict() for r in part] == [r.to_dict() for r in entries[sl]]
+
+    def test_iteration_equals_indexing(self):
+        curve = self.curve()
+        by_index = [curve[i] for i in range(len(curve))]
+        by_iter = list(curve)
+        assert len(by_iter) == len(by_index) == 11
+        for a, b in zip(by_iter, by_index):
+            assert a.to_dict() == b.to_dict()
+            assert np.array_equal(a.lambdas_product, b.lambdas_product)
+            assert np.array_equal(a.lambdas_bell, b.lambdas_bell)
+
+    def test_read_only(self):
+        curve = self.curve()
+        for column in (curve.mu, curve.spectra, curve.entropies):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.5
+        r = curve[3]
+        for spectrum in (r.lambdas_product, r.lambdas_bell, r.winning_spectrum()):
+            with pytest.raises(ValueError, match="read-only"):
+                spectrum[0] = 0.5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.mu = np.zeros(11)
+
+    def test_owns_its_grid(self):
+        grid = np.linspace(0.0, 1.0, 5)
+        curve = capacity_sweep(self.BASE, grid)
+        grid[0] = 0.5  # the caller's array stays writable, and the curve keeps its values
+        assert curve[0].mu == 0.0
+
+    def test_sweep_memory(self):
+        # tracemalloc sees numpy's buffers, so this holds on any machine: a
+        # list of 10,001 CapacityResult peaked at 10.2 MB, the columns at 2.8 MB
+        grid = np.linspace(0.0, 1.0, 10001)
+        tracemalloc.start()
+        try:
+            capacity_sweep(self.BASE, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6e6
 
 
 class TestEnsemble:
@@ -394,9 +462,9 @@ class TestSweepJson:
     def test_concatenated_sweeps(self):
         # Same regimes, different thresholds: the tail is not a function of the regime.
         grid = np.linspace(0.0, 1.0, 9)
-        results = (capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid)
-                   + capacity_sweep(depolarizing(0.25, 0.0), grid)
-                   + capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1]))
+        results = [*capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid),
+                   *capacity_sweep(depolarizing(0.25, 0.0), grid),
+                   *capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1])]
         assert {r.regime for r in results} >= {Regime.PRODUCT, Regime.ENTANGLED}
         assert sweep_to_json(results) == reference_json(results)
 
@@ -418,3 +486,66 @@ class TestSweepJson:
         assert sweep_to_json([]) == reference_json([]) == "[]\n"
         one = [capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.25))]
         assert sweep_to_json(one) == reference_json(one)
+
+
+
+def reference_csv(results):
+    """The writer sweep_to_csv must match byte for byte: each cell through format_number."""
+    rows = (
+        (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell,
+         *r.winning_spectrum().tolist())
+        for r in results
+    )
+    return csv_text(SWEEP_CSV_HEADER, rows)
+
+
+def assert_csv_matches(results):
+    """The curve and the same results as a list both give the reference CSV."""
+    for x in (results, list(results)):
+        assert sweep_to_csv(x) == reference_csv(x)
+
+
+class TestSweepCsv:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([0.3, 1.0, 3.0]),
+        mu=st.lists(st.floats(0.0, 1.0), max_size=12),
+    )
+    def test_dirichlet_channels(self, seed, alpha, mu):
+        q = np.random.default_rng(seed).dirichlet(np.full(4, alpha))
+        results = capacity_sweep(PauliChannel(tuple(q), 0.0), [0.0, *mu, 1.0])
+        assert results[-1].entropy_bell == 0.0  # a pure spectrum at mu = 1
+        assert_csv_matches(results)
+
+    def test_tie_and_degenerate_channels(self):
+        regimes = set()
+        for q in [(0.25,) * 4, (0.5, 0.0, 0.0, 0.5), (1.0, 0.0, 0.0, 0.0), depolarizing(0.25, 0.0).q]:
+            ch = PauliChannel(q, 0.0)
+            grid = [*np.linspace(0.0, 1.0, 17), capacity_two_use(ch).mu_star]
+            results = capacity_sweep(ch, grid)
+            regimes.update(r.regime for r in results)
+            assert_csv_matches(results)
+        assert regimes == set(Regime)
+
+    def test_concatenated_sweeps(self):
+        grid = np.linspace(0.0, 1.0, 9)
+        results = [*capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid),
+                   *capacity_sweep(depolarizing(0.25, 0.0), grid),
+                   *capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1])]
+        assert sweep_to_csv(results) == reference_csv(results)
+
+    def test_signed_zero_mu(self):
+        # -0.0 passes the grid check; CSV prints it as 0, JSON as -0.0.
+        results = capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [-0.0, 0.5])
+        assert sweep_to_csv(results).splitlines()[1].startswith("0,product,")
+        assert_csv_matches(results)
+        assert sweep_to_json(results) == reference_json(results)
+
+    def test_empty_and_single_row(self):
+        base = PauliChannel(ILLUSTRATION_Q, 0.0)
+        assert sweep_to_csv([]) == reference_csv([]) == SWEEP_CSV_HEADER + "\n"
+        assert_csv_matches(capacity_sweep(base, []))
+        assert_csv_matches(capacity_sweep(base, [0.25]))
+        one = [capacity_two_use(base.with_mu(0.75))]
+        assert sweep_to_csv(one) == reference_csv(one)
