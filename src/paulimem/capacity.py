@@ -11,10 +11,9 @@ from __future__ import annotations
 
 import json
 import operator
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
-from itertools import repeat
 
 import numpy as np
 
@@ -135,9 +134,13 @@ def spectrum_bell_regime(cp: ChannelParams) -> np.ndarray:
     return _cp_spectra(cp)[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CapacityResult:
-    """Two-use capacity at one memory value, with both branch diagnostics."""
+    """Two-use capacity at one memory value, with both branch diagnostics.
+
+    Results compare by value, field by field as to_dict gives them; they are
+    not hashable.
+    """
 
     mu: float
     regime: Regime
@@ -153,6 +156,11 @@ class CapacityResult:
     def __post_init__(self):
         self.lambdas_product.setflags(write=False)
         self.lambdas_bell.setflags(write=False)
+
+    def __eq__(self, other):
+        if not isinstance(other, CapacityResult):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
 
     def winning_spectrum(self) -> np.ndarray:
         """Spectrum of the branch named in optimal_state_descriptor."""
@@ -244,10 +252,9 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     are then optimal.
     """
     cp = channel_params(channel)
-    l = cp.ordering[0]
-    lam = _branch_spectra(cp.eps2[None], l, cp.eps[l])[0]
+    lam = _cp_spectra(cp)
     s_p, s_b = _entropies(lam).tolist()
-    return _result(channel.mu, lam, s_p, s_b, l, cp.thresholds)
+    return _result(channel.mu, lam, s_p, s_b, cp.ordering[0], cp.thresholds)
 
 
 @dataclass(frozen=True, eq=False)
@@ -342,47 +349,33 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
     outs = _ensemble_outputs(channel, rho_star)
     avg = sum(outs) / 16.0
     deviation = float(np.abs(avg - np.eye(4) / 4.0).max())
-    ents = [entropy_bits(np.linalg.eigvalsh(out)) for out in outs]
+    ents = ensemble_output_entropies(channel, rho_star)
     spread = max(ents) - min(ents)
     if spread > _ENSEMBLE_ENTROPY_TOL:
         raise InvalidState(f"ensemble output entropies spread by {spread:.3e}")
     return deviation
 
 
-def _table(results) -> tuple[np.ndarray, Iterable]:
+def _table(curve: CapacityCurve) -> np.ndarray:
     """The writers' input: one row (mu, c2, entropy_product, entropy_bell,
-    *lambdas_product, *lambdas_bell) per result, shape (N, 12), and per row
-    the key of its JSON tail up to the regime.
-
-    A curve's rows share l and the thresholds, so its keys are all None. A
-    list's rows are keyed by the identity of their thresholds (the list keeps
-    them alive), since 0.0 == -0.0 prints two ways, and by the repr of their
-    descriptor, since that is a dict.
-    """
-    if isinstance(results, CapacityCurve):
-        c2 = 1.0 - results.entropies.min(axis=1) / 2.0
-        spectra = results.spectra.reshape(len(results), 8)
-        return np.column_stack((results.mu, c2, results.entropies, spectra)), repeat(None)
-    rows = np.array(
-        [(r.mu, r.c2, r.entropy_product, r.entropy_bell, *r.lambdas_product, *r.lambdas_bell)
-         for r in results],
-        dtype=float,
-    ).reshape(-1, 12)
-    return rows, [(id(r.mu_ml), id(r.mu_star), repr(r.optimal_state_descriptor)) for r in results]
+    *lambdas_product, *lambdas_bell) per entry of the curve, shape (N, 12)."""
+    if not isinstance(curve, CapacityCurve):
+        raise TypeError(f"expected a CapacityCurve, got {type(curve).__name__}")
+    c2 = 1.0 - curve.entropies.min(axis=1) / 2.0
+    spectra = curve.spectra.reshape(len(curve), 8)
+    return np.column_stack((curve.mu, c2, curve.entropies, spectra))
 
 
 _CSV_ROW = ",".join(["%" + _NUMBER_SPEC, "%s"] + ["%" + _NUMBER_SPEC] * 7)
 
 
-def sweep_to_csv(results: Sequence[CapacityResult]) -> str:
-    """Fixed-schema CSV of a sweep; l1..l4 hold the winning branch spectrum.
+def sweep_to_csv(curve: CapacityCurve) -> str:
+    """Fixed-schema CSV of a curve; l1..l4 hold the winning branch spectrum.
 
-    Byte-identical to csv_text(SWEEP_CSV_HEADER, ...) over each result's mu,
-    regime, c2, both entropies and winning_spectrum(), for every result
-    capacity_two_use and capacity_sweep return: the regime, and with it the
-    winning branch, is taken from the two entropies.
+    Byte-identical to csv_text(SWEEP_CSV_HEADER, ...) over each entry's mu,
+    regime, c2, both entropies and winning_spectrum().
     """
-    table, _ = _table(results)
+    table = _table(curve)
     lines = [SWEEP_CSV_HEADER]
     for row in (table + 0.0).tolist():  # + 0.0 normalizes -0.0, as in format_number
         regime = _regime(row[2], row[3])
@@ -422,27 +415,24 @@ def _json_tail(r: CapacityResult) -> str:
     return json_text([tail])[len("[\n  {\n"):-len("\n]\n")]
 
 
-def sweep_to_json(results: Sequence[CapacityResult]) -> str:
-    """JSON array of full CapacityResult objects (double precision).
+def sweep_to_json(curve: CapacityCurve) -> str:
+    """JSON array of the curve's entries as full CapacityResult objects (double precision).
 
-    Byte-identical to json_text([r.to_dict() for r in results]), which
-    indent=2 confines to the pure-Python encoder. Each element is instead
-    filled into one row template, every value through float.__repr__ (%r) as
-    in json; so the value fields must be finite floats and the regime the one
-    the two entropies give, as in every result capacity_two_use and
-    capacity_sweep return. The tail (thresholds, NaN as null, and the
-    descriptor) is rendered through to_dict and json_text once per distinct
-    tail.
+    Byte-identical to json_text([r.to_dict() for r in curve]), which indent=2
+    confines to the pure-Python encoder. Each element is instead filled into
+    one row template, every value through float.__repr__ (%r) as in json. The
+    tail (thresholds, NaN as null, and the descriptor) depends only on the
+    regime, so it is rendered through to_dict and json_text once per regime.
     """
-    if not results:
+    table = _table(curve)
+    if not len(table):
         return json_text([])
-    table, keys = _table(results)
     tails = {}
     rows = []
-    for i, (row, key) in enumerate(zip(table.tolist(), keys)):
+    for i, row in enumerate(table.tolist()):
         regime = _regime(row[2], row[3])
-        tail = tails.get((key, regime))
+        tail = tails.get(regime)
         if tail is None:
-            tail = tails[key, regime] = _json_tail(results[i])
+            tail = tails[regime] = _json_tail(curve[i])
         rows.append(_JSON_ROW % (row[0], regime.value, *row[1:], tail))
     return "[\n" + ",\n".join(rows) + "\n]\n"

@@ -24,10 +24,6 @@ from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimali
 _MAX_GRID_POINTS = 1_000_001
 
 
-class _CliError(Exception):
-    """Input problem that should exit with code 2."""
-
-
 def _parse_q(text: str) -> tuple[float, ...]:
     parts = text.split(",")
     if len(parts) != 4:
@@ -81,10 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
                         help="inclusive memory grid")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument("--seed", type=int, default=0, help="search seed (verify)")
-    parser.add_argument("--grid-points", type=int, default=None,
+    parser.add_argument("--seed", type=int, default=SearchConfig.seed,
+                        help="search seed (verify)")
+    parser.add_argument("--grid-points", type=int, default=SearchConfig.grid_points_per_angle,
                         help="search grid points per angle (verify)")
-    parser.add_argument("--restarts", type=int, default=None,
+    parser.add_argument("--restarts", type=int, default=SearchConfig.restarts,
                         help="random refinement restarts (verify)")
     parser.add_argument("command", choices=("params", "thresholds", "capacity", "sweep", "verify"))
     return parser
@@ -97,22 +94,22 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
             with open(args.config, encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except OSError as exc:
-            raise _CliError(f"cannot read config: {exc}") from None
+            raise PauliMemError(f"cannot read config: {exc}") from None
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            raise _CliError(f"malformed config: {exc}") from None
+            raise PauliMemError(f"malformed config: {exc}") from None
         if args.mu is None and isinstance(cfg, dict):
             return channel_from_config(cfg, mu=cfg.get("mu", default_mu))
         return channel_from_config(cfg, mu=args.mu)
     mu = args.mu if args.mu is not None else default_mu
     if mu is None:
-        raise _CliError("this command needs --mu")
+        raise PauliMemError("this command needs --mu")
     if args.q is not None:
         return PauliChannel(args.q, mu)
     if args.family is not None:
         if args.p is None:
-            raise _CliError("--family requires --p")
+            raise PauliMemError("--family requires --p")
         return FAMILIES[args.family](args.p, mu)
-    raise _CliError("no channel given: use --q, --family or --config")
+    raise PauliMemError("no channel given: use --q, --family or --config")
 
 
 def _cmd_params(args) -> tuple[str, int]:
@@ -153,7 +150,7 @@ def _cmd_capacity(args) -> tuple[str, int]:
 
 def _cmd_sweep(args) -> tuple[str, int]:
     if args.mu_grid is None:
-        raise _CliError("sweep needs --mu-grid")
+        raise PauliMemError("sweep needs --mu-grid")
     channel = _load_channel(args, default_mu=0.0)  # grid values replace mu
     results = capacity_sweep(channel, args.mu_grid)
     if args.format == "json":
@@ -167,14 +164,9 @@ def _cmd_verify(args) -> tuple[str, int]:
     elif args.mu is not None:
         grid = [args.mu]
     else:
-        raise _CliError("verify needs --mu or --mu-grid")
+        raise PauliMemError("verify needs --mu or --mu-grid")
     channel = _load_channel(args, default_mu=grid[0])
-    overrides = {}
-    if args.grid_points is not None:
-        overrides["grid_points_per_angle"] = args.grid_points
-    if args.restarts is not None:
-        overrides["restarts"] = args.restarts
-    cfg = SearchConfig(seed=args.seed, **overrides)
+    cfg = SearchConfig(args.grid_points, args.restarts, args.seed)
     report = verify_optimality_grid(channel, grid, cfg)
     if report.budget_exceeded:
         print("warning: refinement budget exceeded; results are best-so-far",
@@ -197,7 +189,7 @@ def _write_out(path: str, text: str) -> None:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _CliError(f"cannot write output: {exc}") from None
+        raise PauliMemError(f"cannot write output: {exc}") from None
 
 
 def main(argv=None) -> int:
@@ -208,7 +200,7 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
         else:
             _write_out(args.out, text)
-    except (_CliError, PauliMemError) as exc:
+    except PauliMemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -46,27 +46,6 @@ class PureStateParams:
         """(theta, phi, psi, phi11, phi10, phi01) as a float vector."""
         return np.array([self.theta, self.phi, self.psi, self.phi11, self.phi10, self.phi01])
 
-    def to_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "phi": self.phi,
-            "psi": self.psi,
-            "phi11": self.phi11,
-            "phi10": self.phi10,
-            "phi01": self.phi01,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "PureStateParams":
-        return cls(
-            float(d["theta"]),
-            float(d["phi"]),
-            float(d["psi"]),
-            float(d["phi11"]),
-            float(d["phi10"]),
-            float(d["phi01"]),
-        )
-
 
 def amplitudes_from_angles(theta, phi, psi) -> tuple:
     """Real amplitudes (c00, c11, c10, c01); their squares sum to 1.

@@ -348,6 +348,20 @@ class TestCapacityCurve:
             assert np.array_equal(a.lambdas_product, b.lambdas_product)
             assert np.array_equal(a.lambdas_bell, b.lambdas_bell)
 
+    def test_results_compare_by_value(self):
+        curve = self.curve()  # eleven distinct mu values
+        a = capacity_two_use(self.BASE.with_mu(0.5))
+        b = capacity_two_use(self.BASE.with_mu(0.5))
+        assert a == b and not a != b
+        assert a != capacity_two_use(self.BASE.with_mu(0.7))
+        assert a != dataclasses.replace(a, mu_star=a.mu_star + 0.1)
+        assert a in curve
+        assert curve.index(a) == 5 and curve[5] == a
+        assert curve.count(a) == 1
+        assert capacity_two_use(self.BASE.with_mu(0.55)) not in curve
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(a)
+
     def test_read_only(self):
         curve = self.curve()
         for column in (curve.mu, curve.spectra, curve.entropies):
@@ -459,34 +473,32 @@ class TestSweepJson:
         results = capacity_sweep(PauliChannel(q, 0.0), np.linspace(0.0, 1.0, 17))
         assert sweep_to_json(results) == reference_json(results)
 
-    def test_concatenated_sweeps(self):
-        # Same regimes, different thresholds: the tail is not a function of the regime.
-        grid = np.linspace(0.0, 1.0, 9)
-        results = [*capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid),
-                   *capacity_sweep(depolarizing(0.25, 0.0), grid),
-                   *capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1])]
-        assert {r.regime for r in results} >= {Regime.PRODUCT, Regime.ENTANGLED}
-        assert sweep_to_json(results) == reference_json(results)
-
     def test_nan_threshold_prints_null(self):
-        base = capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.5))
-        no_star = dataclasses.replace(base, mu_star=float("nan"))
-        results = [base, no_star, base]
-        text = sweep_to_json(results)
-        assert text == reference_json(results)
-        assert json.loads(text)[1]["mu_star"] is None
+        curve = capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [0.25, 0.5, 0.75])
+        no_star = dataclasses.replace(
+            curve, thresholds=dataclasses.replace(curve.thresholds, mu_star=float("nan"))
+        )
+        text = sweep_to_json(no_star)
+        assert text == reference_json(no_star)
+        assert [row["mu_star"] for row in json.loads(text)] == [None] * 3
 
     def test_signed_zero_thresholds(self):
         # 0.0 == -0.0, yet json prints them apart.
-        base = capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.5))
-        results = [dataclasses.replace(base, mu_ml=0.0), dataclasses.replace(base, mu_ml=-0.0)]
-        assert sweep_to_json(results) == reference_json(results)
+        curve = capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [0.25, 0.75])
+        for zero in (0.0, -0.0):
+            signed = dataclasses.replace(
+                curve, thresholds=dataclasses.replace(curve.thresholds, mu_ml=zero)
+            )
+            text = sweep_to_json(signed)
+            assert text == reference_json(signed)
+            assert f'"mu_ml": {zero!r},' in text
 
     def test_empty_and_single_row(self):
-        assert sweep_to_json([]) == reference_json([]) == "[]\n"
-        one = [capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.25))]
+        base = PauliChannel(ILLUSTRATION_Q, 0.0)
+        empty = capacity_sweep(base, [])
+        assert sweep_to_json(empty) == reference_json(empty) == "[]\n"
+        one = capacity_sweep(base, [0.25])
         assert sweep_to_json(one) == reference_json(one)
-
 
 
 def reference_csv(results):
@@ -499,10 +511,8 @@ def reference_csv(results):
     return csv_text(SWEEP_CSV_HEADER, rows)
 
 
-def assert_csv_matches(results):
-    """The curve and the same results as a list both give the reference CSV."""
-    for x in (results, list(results)):
-        assert sweep_to_csv(x) == reference_csv(x)
+def assert_csv_matches(curve):
+    assert sweep_to_csv(curve) == reference_csv(curve)
 
 
 class TestSweepCsv:
@@ -528,13 +538,6 @@ class TestSweepCsv:
             assert_csv_matches(results)
         assert regimes == set(Regime)
 
-    def test_concatenated_sweeps(self):
-        grid = np.linspace(0.0, 1.0, 9)
-        results = [*capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid),
-                   *capacity_sweep(depolarizing(0.25, 0.0), grid),
-                   *capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), grid[::-1])]
-        assert sweep_to_csv(results) == reference_csv(results)
-
     def test_signed_zero_mu(self):
         # -0.0 passes the grid check; CSV prints it as 0, JSON as -0.0.
         results = capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [-0.0, 0.5])
@@ -544,8 +547,13 @@ class TestSweepCsv:
 
     def test_empty_and_single_row(self):
         base = PauliChannel(ILLUSTRATION_Q, 0.0)
-        assert sweep_to_csv([]) == reference_csv([]) == SWEEP_CSV_HEADER + "\n"
-        assert_csv_matches(capacity_sweep(base, []))
+        empty = capacity_sweep(base, [])
+        assert sweep_to_csv(empty) == reference_csv(empty) == SWEEP_CSV_HEADER + "\n"
         assert_csv_matches(capacity_sweep(base, [0.25]))
-        one = [capacity_two_use(base.with_mu(0.75))]
-        assert sweep_to_csv(one) == reference_csv(one)
+
+
+def test_writers_reject_a_list():
+    results = list(capacity_sweep(PauliChannel(ILLUSTRATION_Q, 0.0), [0.25, 0.75]))
+    for writer in (sweep_to_csv, sweep_to_json):
+        with pytest.raises(TypeError, match="expected a CapacityCurve, got list"):
+            writer(results)

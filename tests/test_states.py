@@ -275,12 +275,6 @@ class TestRandomParams:
             for j, k, n in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
                 assert w[j, j] ** 2 + w[k, k] ** 2 - w[n, n] ** 2 <= 1.0 + 1e-10
 
-    def test_serialization_round_trip(self):
-        params = random_pure_params(7)
-        again = PureStateParams.from_dict(params.to_dict())
-        assert again == params
-        assert set(params.to_dict()) == {"theta", "phi", "psi", "phi11", "phi10", "phi01"}
-
 
 @given(theta=angle, phi=angle, psi=angle, p11=angle, p10=angle, p01=angle)
 @settings(max_examples=150, deadline=None, derandomize=True)
