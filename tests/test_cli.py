@@ -335,6 +335,28 @@ class TestVerify:
         assert code == 2
         assert "--mu" in err
 
+    def _search_config(self, capsys, monkeypatch, *flags):
+        seen = []
+        real = cli.verify_optimality_grid
+
+        def spy(channel, grid, cfg):
+            seen.append(cfg)
+            return real(channel, grid, oracle.SearchConfig(2, 1, 0))
+
+        monkeypatch.setattr(cli, "verify_optimality_grid", spy)
+        code, _, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "1", *flags, "verify")
+        assert code == 0 and len(seen) == 1
+        return seen[0]
+
+    def test_search_defaults_come_from_search_config(self, capsys, monkeypatch):
+        assert self._search_config(capsys, monkeypatch) == oracle.SearchConfig()
+
+    def test_search_flags_set_their_own_fields(self, capsys, monkeypatch):
+        cfg = self._search_config(
+            capsys, monkeypatch, "--grid-points", "3", "--restarts", "5", "--seed", "9",
+        )
+        assert cfg == oracle.SearchConfig(grid_points_per_angle=3, restarts=5, seed=9)
+
 
 class TestDeterminism:
     def _run_bytes(self, argv):
