@@ -64,6 +64,7 @@ from .states import (
     bell_state,
     density_matrix,
     params_from_state,
+    params_from_states,
     pauli_weights,
     product_optimal_state,
     random_pure_params,

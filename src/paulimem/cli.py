@@ -53,9 +53,7 @@ def _parse_grid(text: str) -> list[float]:
     # Endpoints inclusive within half a step.
     count = int((end - start) / step + Decimal("0.5")) + 1
     if count > _MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(
-            f"grid has {count} points, more than {_MAX_GRID_POINTS}"
-        )
+        raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
     return [float(min(start + k * step, end)) for k in range(count)]
 
 

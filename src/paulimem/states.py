@@ -7,9 +7,8 @@ family covers every pure two-qubit state up to an irrelevant global phase.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from math import atan2, cos, hypot, sin
+from math import cos, sin
 
 import numpy as np
 
@@ -196,31 +195,29 @@ def random_pure_params(seed: int) -> PureStateParams:
     return PureStateParams(*(float(v) for v in vals))
 
 
-def params_from_state(vec: np.ndarray) -> PureStateParams:
-    """Invert state_vector up to a global phase.
+def params_from_states(vecs: np.ndarray) -> np.ndarray:
+    """Invert state_vectors up to a global phase: (N, 4) amplitudes -> (N, 6) rows.
 
-    Rotates the global phase so the |00> amplitude is real and nonnegative,
-    reads the three relative phases, and recovers the angles from the
-    amplitude magnitudes. Demonstrates that the family covers every pure
-    state.
+    Rotates each row's global phase so its |00> amplitude is real and
+    nonnegative, reads the three relative phases, and recovers the angles
+    from the amplitude magnitudes. Demonstrates that the family covers every
+    pure state.
     """
-    v = np.asarray(vec, dtype=complex)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NonNormalized(f"state vector has norm {norm!r}")
-    a00 = v[0]
-    if abs(a00) > 1e-15:
-        v = v * cmath.exp(-1j * cmath.phase(complex(a00)))
-    r00 = abs(v[0])
-    r01, r10, r11 = abs(v[1]), abs(v[2]), abs(v[3])
-    theta = 2.0 * atan2(hypot(r10, r11), hypot(r00, r01))
-    plus = atan2(r01, r00)
-    minus = atan2(r11, r10)
-    return PureStateParams(
-        theta,
-        plus + minus,
-        plus - minus,
-        cmath.phase(complex(v[3])),
-        cmath.phase(complex(v[2])),
-        cmath.phase(complex(v[1])),
-    )
+    v = np.asarray(vecs, dtype=complex)
+    norm = np.linalg.norm(v, axis=1)
+    off = np.abs(norm - 1.0) > _NORM_TOL
+    if off.any():
+        raise NonNormalized(f"state vector has norm {norm[off][0]!r}")
+    a00 = v[:, :1]
+    v = v * np.where(np.abs(a00) > 1e-15, np.exp(-1j * np.angle(a00)), 1.0)
+    r = np.abs(v)
+    theta = 2.0 * np.arctan2(np.hypot(r[:, 2], r[:, 3]), np.hypot(r[:, 0], r[:, 1]))
+    plus = np.arctan2(r[:, 1], r[:, 0])
+    minus = np.arctan2(r[:, 3], r[:, 2])
+    phases = np.angle(v[:, [3, 2, 1]])
+    return np.column_stack([theta, plus + minus, plus - minus, phases])
+
+
+def params_from_state(vec: np.ndarray) -> PureStateParams:
+    """Invert state_vector up to a global phase; row 0 of params_from_states."""
+    return PureStateParams(*params_from_states(np.asarray(vec)[None, :])[0].tolist())

@@ -126,9 +126,10 @@ class TestCapacityAndSweep:
     def test_grid_size_bound_checked_before_building(self, monkeypatch):
         # Only the count is computed before the check, so none of these
         # builds a list; 0:1:1e-12 would be 1e12 floats.
-        for text in ("0:1:9.99e-7", "0:1:1e-12", "0:1:1e-300"):
-            with pytest.raises(argparse.ArgumentTypeError, match="more than 1000001"):
+        for text in ("0:1:9.99e-7", "0:1:1e-12", "0:1:1e-300", "0:1:1e-400"):
+            with pytest.raises(argparse.ArgumentTypeError, match="more than 1000001") as exc:
                 _parse_grid(text)
+            assert len(str(exc.value)) < 100  # not the raw count, 401 digits at 1e-400
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
         assert len(_parse_grid("0:0.9:0.1")) == 10
         with pytest.raises(argparse.ArgumentTypeError):

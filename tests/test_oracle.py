@@ -32,10 +32,8 @@ from paulimem import (
 from paulimem import oracle
 from paulimem.oracle import (
     _entropy_and_gradient,
-    _entropy_floor,
     _grid_best,
     _grid_rows,
-    _mirror_canonical_phases,
     channel_superoperator,
     report_to_csv,
     report_to_json,
@@ -174,8 +172,8 @@ class TestA2:
 class TestSearchConfig:
     def test_defaults(self):
         cfg = SearchConfig()
-        assert cfg.grid_points_per_angle == 7
-        assert cfg.restarts == 16
+        assert cfg.grid_points_per_angle == 3
+        assert cfg.restarts == 64
 
     def test_validation(self):
         with pytest.raises(OutOfRange):
@@ -296,7 +294,7 @@ class TestBruteForce:
         # a count, not a time: the grid plus at most 3000 objective calls
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         res = min_entropy_bruteforce(ch)
-        assert res.evaluations - 7**6 < 3000
+        assert res.evaluations - SearchConfig().grid_points_per_angle ** 6 < 3000
         assert res.budget_exceeded is False
 
     @pytest.mark.parametrize("g", [3, 4])
@@ -309,17 +307,16 @@ class TestBruteForce:
         assert np.array_equal(_grid_rows(g, np.array([g**6 - 1, 5, 0])), mesh[[g**6 - 1, 5, 0]])
 
 
-# Four nonnegative masses, some exactly zero, normalized to a spectrum.
-spectra = (
-    st.lists(st.just(0.0) | st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4)
-    .filter(lambda m: sum(m) > 1e-3)
-    .map(lambda m: np.array(m) / sum(m))
-)
+_GRID_CHANNELS = [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.0, 0.3, 0.5, 0.8, 1.0)] + [
+    depolarizing(0.25, 0.3),
+    PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5),  # every cell ties at 0
+    PauliChannel((0.25,) * 4, 0.0),  # every output is I/4
+    PauliChannel((0.5, 0.5, 0.0, 0.0), 0.2),
+]
 
 
-def _canonical_flat(g):
-    """Ascending flat indices of the cells the grid stage visits."""
-    return (np.arange(g**3)[:, None] * g**3 + _mirror_canonical_phases(g)).ravel()
+def _channel_id(ch):
+    return f"{ch.q}-{ch.mu}"
 
 
 def _mirrored_flat(g, flat):
@@ -330,24 +327,6 @@ def _mirrored_flat(g, flat):
 
 
 class TestGridStage:
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    @given(lam=spectra)
-    def test_entropy_floor_is_a_lower_bound(self, lam):
-        floor = _entropy_floor(np.array([np.sum(lam**2)]))[0]
-        assert floor <= entropy_bits(lam) + 1e-12
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(k=st.integers(min_value=1, max_value=4), t=st.floats(min_value=0.0, max_value=1.0))
-    def test_entropy_floor_is_reached_by_the_extremal_family(self, k, t):
-        # k equal masses a in [1/(k+1), 1/k] and one mass 1 - k a below them
-        a = 1.0 / (k + 1) + t * (1.0 / k - 1.0 / (k + 1)) if k < 4 else 0.25
-        lam = np.zeros(4)
-        lam[:k] = a
-        if k < 4:
-            lam[k] = 1.0 - k * a
-        floor = _entropy_floor(np.array([np.sum(lam**2)]))[0]
-        assert floor == pytest.approx(entropy_bits(lam), abs=1e-12)
-
     @settings(max_examples=50, deadline=None, derandomize=True)
     @given(q=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=4, max_size=4).filter(
         lambda m: sum(m) > 1e-3), mu=st.floats(min_value=0.0, max_value=1.0))
@@ -355,42 +334,23 @@ class TestGridStage:
         ch = PauliChannel(tuple(np.array(q) / sum(q)), mu)
         assert np.all(channel_superoperator(ch).imag == 0.0)
 
-    def test_mirrored_cells_have_equal_entropy(self, rng):
-        g = 4
+    @pytest.mark.parametrize("g", [3, 4])  # one and two self-mirrored phases
+    @pytest.mark.parametrize("channel", _GRID_CHANNELS, ids=_channel_id)
+    def test_mirrored_cells_have_equal_entropy(self, g, channel):
+        # conjugating the input state leaves a real-superoperator channel's
+        # output spectrum unchanged
         flat = np.arange(g**6)
-        for _ in range(3):
-            ch = random_channel(rng)
-            direct = output_entropies(ch, _grid_rows(g, flat))
-            mirrored = output_entropies(ch, _grid_rows(g, _mirrored_flat(g, flat)))
-            assert np.abs(direct - mirrored).max() <= 1e-12
+        direct = output_entropies(channel, _grid_rows(g, flat))
+        mirrored = output_entropies(channel, _grid_rows(g, _mirrored_flat(g, flat)))
+        assert np.abs(direct - mirrored).max() <= 1e-12
 
-    @pytest.mark.parametrize("g", range(1, 11))
-    def test_canonical_phases_pick_one_of_each_mirror_pair(self, g):
-        phases = _mirror_canonical_phases(g)
-        fixed = 1 if g % 2 else 8
-        assert phases.size == (g**3 + fixed) // 2
-        assert np.all(np.diff(phases) > 0)
-        mirrors = _mirrored_flat(g, phases)  # the cells at amplitude index 0
-        assert np.union1d(phases, mirrors).size == g**3
-
-    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7])
-    @pytest.mark.parametrize(
-        "channel",
-        [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.0, 0.3, 0.5, 0.8, 1.0)]
-        + [
-            depolarizing(0.25, 0.3),
-            PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5),  # every cell ties at 0
-            PauliChannel((0.25,) * 4, 0.0),  # every output is I/4
-            PauliChannel((0.5, 0.5, 0.0, 0.0), 0.2),
-        ],
-        ids=lambda ch: f"{ch.q}-{ch.mu}",
-    )
-    def test_pruned_best_cells_match_a_full_pass(self, g, channel):
-        flat = _canonical_flat(g)
-        full = output_entropies(channel, _grid_rows(g, flat))
+    @pytest.mark.parametrize("g", [1, 2, 3, 4, 5, 7])  # 5**6 and 7**6 cells span chunks
+    @pytest.mark.parametrize("channel", _GRID_CHANNELS, ids=_channel_id)
+    def test_best_cells_are_a_stable_argsort_of_every_cell(self, g, channel):
+        full = output_entropies(channel, _grid_rows(g, np.arange(g**6)))
         order = np.argsort(full, kind="stable")[:3]
         values, cells = _grid_best(channel_superoperator(channel), g)
-        assert np.array_equal(cells, flat[order])
+        assert np.array_equal(cells, order)
         assert np.array_equal(values, full[order])
 
     def test_grid_stage_cost(self, monkeypatch):
@@ -403,7 +363,8 @@ class TestGridStage:
 
     def test_search_memory(self):
         # tracemalloc sees numpy's buffers, so this holds on any machine:
-        # 16,384-row grid chunks peaked at 14.3 MB, 8,192-row ones at 7.6 MB
+        # 16,384-row grid chunks peaked at 14.3 MB, 8,192-row ones at 7.6 MB,
+        # and the default 729-cell grid with 64 random starts at 1.0 MB
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         tracemalloc.start()
         try:
@@ -469,3 +430,44 @@ def test_weak_completeness_on_illustration():
     assert not report.any_flag
     for point in report.points:
         assert abs(point.gap) <= 1e-4
+
+
+def _hard_set():
+    """(label, channel) points where an earlier default search missed the minimum.
+
+    Channel i is row i of default_rng(2026).dirichlet([1, 1, 1, 1], 150), taken
+    at mu_ml, (mu_ml + mu_star)/2 and mu_star. A grid of 7 points per angle
+    with 16 starts uniform in the angles missed channels 3, 4, 9, 75, 101, 109,
+    130, 138 and 141 at one of these on some seed in 0-3 (by up to 3.9e-3
+    bits), and channel 101 at mu = 0: its starts never reached the
+    sigma_x/sigma_y-product or Bell basins. Pure-output, depolarizing,
+    tied-axis and degenerate points ride along.
+    """
+    qs = np.random.default_rng(2026).dirichlet([1, 1, 1, 1], 150)
+    points = []
+    for i in (3, 4, 9, 75, 101, 109, 130, 138, 141):
+        base = PauliChannel(tuple(qs[i]), 0.0)
+        th = thresholds(base)
+        mid = (th.mu_ml + th.mu_star) / 2.0
+        for tag, mu in (("ml", th.mu_ml), ("mid", mid), ("star", th.mu_star)):
+            points.append((f"{i}-{tag}", base.with_mu(mu)))
+    for i, mu in ((101, 0.0), (4, 1.0), (101, 1.0), (130, 1.0)):
+        points.append((f"{i}-{mu}", PauliChannel(tuple(qs[i]), mu)))
+    for p in (0.1, 0.25):
+        base = depolarizing(p, 0.0)
+        for mu in (0.0, thresholds(base).mu_star, 1.0):
+            points.append((f"depolarizing-{p}-{mu}", base.with_mu(mu)))
+    for q in ((0.4, 0.3, 0.3, 0.0), (0.5, 0.5, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0), (0.25,) * 4):
+        for mu in (0.0, 0.5):
+            points.append((f"{q}-{mu}", PauliChannel(q, mu)))
+    return points
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_default_search_reaches_the_hard_set_minimum(seed):
+    misses = []
+    for label, ch in _hard_set():
+        res = min_entropy_bruteforce(ch, SearchConfig(seed=seed))
+        if res.gap_to_analytic > 1e-9 or res.budget_exceeded:
+            misses.append((label, res.gap_to_analytic, res.budget_exceeded))
+    assert misses == []

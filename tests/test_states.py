@@ -17,6 +17,7 @@ from paulimem import (
     bell_state,
     density_matrix,
     params_from_state,
+    params_from_states,
     pauli_weights,
     product_optimal_state,
     random_pure_params,
@@ -299,7 +300,9 @@ def test_weight_inequality_property(theta, phi, psi, p11, p10, p01):
 
 class TestCoverage:
     def test_params_from_state_round_trip(self, rng):
-        # the family reaches every pure state up to global phase
+        # the family reaches every pure state up to global phase, one state
+        # at a time and as rows of a batch, which the scalar inverse is
+        vs, scalar = [], []
         for _ in range(200):
             raw = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             v = raw / np.linalg.norm(raw)
@@ -307,6 +310,18 @@ class TestCoverage:
             rho_given = np.outer(v, v.conj())
             rho_param = density_matrix(state_vector(params))
             assert np.abs(rho_param - rho_given).max() < 1e-12
+            vs.append(v)
+            scalar.append(params)
+        batch = params_from_states(np.array(vs))
+        assert [PureStateParams(*row) for row in batch.tolist()] == scalar
+        back = state_vectors(batch)
+        rho_batch = np.einsum("ni,nj->nij", back, back.conj())
+        rho_given = np.einsum("ni,nj->nij", np.array(vs), np.conj(vs))
+        assert np.abs(rho_batch - rho_given).max() < 1e-12
+        off = np.array(vs)
+        off[17] *= 1.0 + 1e-6
+        with pytest.raises(NonNormalized):
+            params_from_states(off)
 
     def test_global_phase_leaves_density_unchanged(self, rng):
         for _ in range(50):
