@@ -317,13 +317,14 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
     return CapacityCurve(mu, lam, _entropies(lam), l, cp.thresholds)
 
 
-def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> list[np.ndarray]:
-    outs = []
-    for i in range(4):
-        for j in range(4):
-            u = PAULI2[i, j]
-            outs.append(apply_channel(channel, u @ rho_star @ u))
-    return outs
+def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> np.ndarray:
+    """(16, 4, 4) outputs of the sixteen Pauli-conjugated copies of rho_star."""
+    return np.stack([apply_channel(channel, u @ rho_star @ u) for u in PAULI2.reshape(16, 4, 4)])
+
+
+def _output_entropies(outs: np.ndarray) -> np.ndarray:
+    """Entropies in bits of a stack of 4x4 output matrices."""
+    return _entropies(np.linalg.eigvalsh(outs))
 
 
 def ensemble_output_entropies(channel: PauliChannel, rho_star: np.ndarray) -> np.ndarray:
@@ -331,10 +332,7 @@ def ensemble_output_entropies(channel: PauliChannel, rho_star: np.ndarray) -> np
 
     The channel is covariant under Pauli conjugation, so all sixteen agree.
     """
-    ents = []
-    for out in _ensemble_outputs(channel, rho_star):
-        ents.append(entropy_bits(np.linalg.eigvalsh(out)))
-    return np.array(ents)
+    return _output_entropies(_ensemble_outputs(channel, rho_star))
 
 
 def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -> float:
@@ -349,7 +347,7 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
     outs = _ensemble_outputs(channel, rho_star)
     avg = sum(outs) / 16.0
     deviation = float(np.abs(avg - np.eye(4) / 4.0).max())
-    ents = ensemble_output_entropies(channel, rho_star)
+    ents = _output_entropies(outs)
     spread = max(ents) - min(ents)
     if spread > _ENSEMBLE_ENTROPY_TOL:
         raise InvalidState(f"ensemble output entropies spread by {spread:.3e}")

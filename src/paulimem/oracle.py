@@ -4,9 +4,10 @@ The search reuses nothing of the analytic spectra, which enter only as the
 value it is compared with: the channel output is assembled entry by entry
 from the Pauli weights, eigenvalues come from an in-house Jacobi
 diagonalizer (with LAPACK only in the vectorized search hot loop), and the
-minimum output entropy is found by a brute-force grid plus BFGS refinement
-with the exact entropy gradient over the full six-parameter pure-state
-family, from the best grid cells and from Haar-uniform random states.
+minimum output entropy is found by a brute-force grid plus one batched BFGS
+refinement with the exact entropy gradient over the full six-parameter
+pure-state family, from the best grid cells and from Haar-uniform random
+states; the best refined row is the result.
 """
 
 from __future__ import annotations
@@ -32,6 +33,9 @@ from .states import (
 )
 
 _HERM_TOL = 1e-9
+# eig_hermitian4's off-diagonal norm tolerance, relative to max(|entry|, 1), and sweep cap.
+_JACOBI_TOL = 1e-12
+_JACOBI_SWEEPS = 60
 # Grid rows evaluated per batch: bounds a batch's working set at a few MB
 # whatever the grid size; the kept entropies take 8 bytes a cell, 8 MB at the
 # cap. 16,384 rows ran no faster and raised peak RSS ~8 MB.
@@ -46,8 +50,8 @@ _REFINEMENTS = 3
 # A search result below both closed-form entropies by more than this is a
 # finding against their optimality.
 _TOL_ENTROPY = 1e-6
-# BFGS iterations per refinement start; a start the cap stops sets
-# OracleResult.budget_exceeded.
+# Refinement passes, each one trial point per live start (a step taken or a
+# step halved); a start still live at the cap sets OracleResult.budget_exceeded.
 _MAX_ITERS = 5000
 # Caps on the user-set search sizes, checked before anything is allocated:
 # the grid holds grid_points_per_angle**6 points (10**6 at the cap) and each
@@ -95,7 +99,7 @@ class OracleResult:
     entropy_product and entropy_bell are the closed-form output entropies of
     the two optimal families; gap_to_analytic = min_entropy - min(product,
     bell), and a gap below -1e-6 would contradict their optimality.
-    budget_exceeded marks refinement runs stopped by the iteration cap.
+    budget_exceeded marks refinement runs stopped by the pass cap, _MAX_ITERS.
     """
 
     min_entropy: float
@@ -148,12 +152,12 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def eig_hermitian4(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> np.ndarray:
+def eig_hermitian4(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix, descending, by cyclic Jacobi.
 
     Each off-diagonal entry is annihilated with a phased Givens rotation;
     the off-diagonal mass shrinks quadratically, so a handful of sweeps
-    reaches the tolerance. max_sweeps caps runaway iteration.
+    reaches _JACOBI_TOL. _JACOBI_SWEEPS caps runaway iteration.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
@@ -164,15 +168,15 @@ def eig_hermitian4(m: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60) -> n
     a = (a + a.conj().T) / 2.0
     scale = max(float(np.abs(a).max()), 1.0)
     off_mask = ~np.eye(4, dtype=bool)
-    for _ in range(max_sweeps):
+    for _ in range(_JACOBI_SWEEPS):
         off = sqrt(float((np.abs(a[off_mask]) ** 2).sum()))
-        if off <= tol * scale:
+        if off <= _JACOBI_TOL * scale:
             break
         for p in range(3):
             for q in range(p + 1, 4):
                 b = a[p, q]
                 mag = abs(b)
-                if mag <= 0.1 * tol * scale:
+                if mag <= 0.1 * _JACOBI_TOL * scale:
                     continue  # already negligible against the convergence test
                 phase = b / mag
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
@@ -262,40 +266,40 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     """BFGS from all (R, 6) start rows at once, on the exact entropy gradient.
 
     Each row keeps an inverse-Hessian estimate H (identity at first, kept
-    where s.y <= 0) and halves its step t along p = -H g until S drops by
-    the Armijo fraction 1e-4 of t p.g; only rows still searching are
-    re-evaluated. A row stops once every gradient component is <= _GRAD_TOL,
-    or when the predicted drop t |p.g| falls below float64 resolution with
-    no decrease found, as at a minimum. Returns the final values and rows,
-    the rows evaluated and whether _MAX_ITERS iterations left a row live.
+    where s.y <= 0), a direction p = -H g and a step t. Each pass evaluates
+    x + t p for every live row: a row whose S drops by the Armijo fraction
+    1e-4 of t p.g takes the step, updates H and p and resets t to 1; any
+    other row halves t. A row stops once every gradient component is <=
+    _GRAD_TOL, or when the predicted drop t |p.g| falls below float64
+    resolution with no decrease found, as at a minimum. Returns the final
+    values, rows, rows evaluated and whether _MAX_ITERS passes left a row live.
     """
     x = starts.copy()
     f, g = _entropy_and_gradient(x, superop)
     evaluations = len(x)
     h = np.tile(np.eye(6), (len(x), 1, 1))
+    p, slope, t = -g, -np.einsum("ni,ni->n", g, g), np.ones(len(x))
     live = np.abs(g).max(axis=1) > _GRAD_TOL
     for _ in range(_MAX_ITERS):
-        if not live.any():
-            break
         rows = np.flatnonzero(live)
-        p = -np.einsum("nij,nj->ni", h[rows], g[rows])
-        slope, t = np.einsum("ni,ni->n", p, g[rows]), np.ones(rows.size)
-        while rows.size:
-            trial = x[rows] + t[:, None] * p
-            ft, gt = _entropy_and_gradient(trial, superop)
-            evaluations += rows.size
-            ok = (ft < f[rows]) & (ft <= f[rows] + 1e-4 * t * slope)
-            stalled = ~ok & (t * slope >= -np.finfo(float).eps)
-            a, s, y = rows[ok], trial[ok] - x[rows[ok]], gt[ok] - g[rows[ok]]
-            sy = np.einsum("ni,ni->n", s, y)
-            r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
-            v = np.eye(6) - r[:, None, None] * s[:, :, None] * y[:, None, :]
-            h[a] = v @ h[a] @ v.transpose(0, 2, 1) + r[:, None, None] * s[:, :, None] * s[:, None, :]
-            x[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
-            live[a] = np.abs(gt[ok]).max(axis=1) > _GRAD_TOL
-            live[rows[stalled]] = False
-            keep = ~(ok | stalled)
-            rows, p, slope, t = rows[keep], p[keep], slope[keep], 0.5 * t[keep]
+        if not rows.size:
+            break
+        trial = x[rows] + t[rows, None] * p[rows]
+        ft, gt = _entropy_and_gradient(trial, superop)
+        evaluations += rows.size
+        ok = (ft < f[rows]) & (ft <= f[rows] + 1e-4 * t[rows] * slope[rows])
+        stalled = ~ok & (t[rows] * slope[rows] >= -np.finfo(float).eps)
+        a, s, y = rows[ok], trial[ok] - x[rows[ok]], gt[ok] - g[rows[ok]]
+        sy = np.einsum("ni,ni->n", s, y)
+        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
+        v = np.eye(6) - r[:, None, None] * s[:, :, None] * y[:, None, :]
+        h[a] = v @ h[a] @ v.transpose(0, 2, 1) + r[:, None, None] * s[:, :, None] * s[:, None, :]
+        x[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
+        p[a] = -np.einsum("nij,nj->ni", h[a], g[a])
+        slope[a], t[a] = np.einsum("ni,ni->n", p[a], g[a]), 1.0
+        live[a] = np.abs(g[a]).max(axis=1) > _GRAD_TOL
+        live[rows[stalled]] = False
+        t[rows[~(ok | stalled)]] *= 0.5
     return f, x, evaluations, bool(live.any())
 
 
@@ -312,8 +316,8 @@ def _grid_rows(g: int, flat: np.ndarray) -> np.ndarray:
     return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
 
 
-def _grid_best(superop: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
-    """Entropies and flat indices of the best grid cells, as a stable argsort ranks them.
+def _grid_best(superop: np.ndarray, g: int) -> np.ndarray:
+    """Flat indices of the _REFINEMENTS best grid cells, as a stable argsort ranks them.
 
     Every one of the g**6 cells is diagonalized, _GRID_CHUNK rows at a time.
     """
@@ -321,8 +325,7 @@ def _grid_best(superop: np.ndarray, g: int) -> tuple[np.ndarray, np.ndarray]:
     values = np.concatenate(
         [_entropies(_outputs(superop, state_vectors(_grid_rows(g, flat)))) for flat in flats]
     )
-    best = np.argsort(values, kind="stable")[:_REFINEMENTS]
-    return values[best], best
+    return np.argsort(values, kind="stable")[:_REFINEMENTS]
 
 
 def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
@@ -341,24 +344,21 @@ def min_entropy_bruteforce(
     refinements with the exact entropy gradient from the best three cells;
     `restarts` further starts are Haar-uniform random states (normalized
     complex Gaussian 4-vectors) drawn from the seed alone, blind to the
-    channel and to the closed-form families. The raw grid optimum is kept as
-    a candidate too. Deterministic for a fixed config; grid ties break by
-    flat index, candidate ties by lexicographic parameter order. evaluations
-    counts all g**6 grid points plus objective rows evaluated.
+    channel and to the closed-form families. The best refined row wins, ties
+    broken by lexicographic parameter order, grid ties by flat index; the
+    search is deterministic for a fixed config. evaluations counts all g**6
+    grid points plus objective rows evaluated.
     """
     if cfg is None:
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
-    grid_values, grid_flat = _grid_best(superop, g)
-    best_cells = _grid_rows(g, grid_flat)
+    best_cells = _grid_rows(g, _grid_best(superop, g))
 
     gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
     rand = params_from_states(gauss / np.linalg.norm(gauss, axis=1, keepdims=True))
     values, rows, refine_evals, budget_exceeded = _refine(np.vstack([best_cells, rand]), superop)
-    candidates = [(float(grid_values[0]), tuple(best_cells[0].tolist()))]
-    candidates += zip(values.tolist(), map(tuple, rows.tolist()))
-    best_value, best_x = min(candidates)
+    best_value, best_x = min(zip(values.tolist(), map(tuple, rows.tolist())))
     best_params = PureStateParams(*best_x)
     spectrum = eig_hermitian4(
         output_matrix(channel, pauli_weights(density_matrix(state_vector(best_params))))
