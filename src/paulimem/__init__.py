@@ -69,7 +69,6 @@ from .states import (
     product_optimal_state,
     random_pure_params,
     state_vector,
-    state_vector_derivatives,
     state_vectors,
     weights_to_density,
 )

@@ -4,10 +4,10 @@ The search reuses nothing of the analytic spectra, which enter only as the
 value it is compared with: the channel output is assembled entry by entry
 from the Pauli weights, eigenvalues come from an in-house Jacobi
 diagonalizer (with LAPACK only in the vectorized search hot loop), and the
-minimum output entropy is found by a brute-force grid plus one batched BFGS
-refinement with the exact entropy gradient over the full six-parameter
-pure-state family, from the best grid cells and from Haar-uniform random
-states; the best refined row is the result.
+minimum output entropy is found by a brute-force grid over the six-parameter
+pure-state family plus one batched BFGS refinement with the exact entropy
+gradient over the amplitudes themselves, from the best grid cells and from
+Haar-uniform random states; the best refined row is the result.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from operator import index
 
 import numpy as np
 
-from .capacity import _checked_mu_grid, capacity_two_use, csv_text, json_text
+from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use, csv_text, json_text
 from .channel import PauliChannel, epsilon_matrix, epsilon_vector
 from .errors import NonHermitian, OutOfRange
 from .pauli import PAULI2
@@ -28,7 +28,6 @@ from .states import (
     params_from_states,
     pauli_weights,
     state_vector,
-    state_vector_derivatives,
     state_vectors,
 )
 
@@ -41,9 +40,10 @@ _JACOBI_SWEEPS = 60
 # cap. 16,384 rows ran no faster and raised peak RSS ~8 MB.
 _GRID_CHUNK = 8_192
 # A refinement row stops once every gradient component is at most this.
-# 1e-5 leaves the entropy up to ~3e-12 above the minimum; 1e-7 reaches its
-# float64 resolution (~1e-15) for ~10% more evaluations, and 1e-9 costs ~8%
-# more again for no gain.
+# At the worked example (mu 0.2, 0.5, 0.8) and depolarizing(0.25, 0.3), 1e-7
+# ends at the entropy's float64 resolution (~1e-15) and 1e-9 costs ~9% more
+# rows for no gain; 1e-5 saves ~10% of the rows there but was ~3e-12 short
+# of the minimum on parameter rows, so 1e-7 keeps that margin.
 _GRAD_TOL = 1e-7
 # Best grid cells that seed a refinement start each.
 _REFINEMENTS = 3
@@ -55,7 +55,7 @@ _TOL_ENTROPY = 1e-6
 _MAX_ITERS = 5000
 # Caps on the user-set search sizes, checked before anything is allocated:
 # the grid holds grid_points_per_angle**6 points (10**6 at the cap) and each
-# random start takes 8 floats for its state and 6 for its angles.
+# random start takes 8 floats for its state.
 _MAX_GRID_POINTS_PER_ANGLE = 10
 _MAX_RESTARTS = 1000
 
@@ -231,53 +231,53 @@ def channel_superoperator(channel: PauliChannel) -> np.ndarray:
 
 
 def _outputs(superop: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(N, 16) row-major output matrices of the (N, 4) pure-state amplitudes v."""
-    return np.einsum("ni,nj->nij", v, v.conj()).reshape(-1, 16) @ superop.T
-
-
-def _entropies(out: np.ndarray) -> np.ndarray:
-    """Entropies in bits of (N, 16) row-major output matrices."""
-    lam = np.linalg.eigvalsh(out.reshape(-1, 4, 4))
-    lam = np.clip(lam, 1e-300, None)
-    return np.maximum(-np.sum(lam * np.log2(lam), axis=1), 0.0)
+    """(N, 4, 4) output matrices of the (N, 4) pure-state amplitudes v."""
+    return (np.einsum("ni,nj->nij", v, v.conj()).reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
 
 
 def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Output entropies S at (R, 6) parameter rows x, and their (R, 6) gradients.
+    """Output entropies S at (R, 8) amplitude rows x, and their (R, 8) gradients.
 
-    With rho_out = E(|v><v|), dS = -Tr(E(d|v><v|) log2 rho_out) because the
-    trace of rho_out is fixed; the Pauli channel E is self-adjoint, so
-    dS/dx_i = -2 Re <v| E(log2 rho_out) |dv/dx_i>.
+    A row holds the real and imaginary parts of four amplitudes c of any
+    nonzero length; the state is v = c/|c|. With rho_out = E(|v><v|),
+    dS = -Tr(E(d|v><v|) log2 rho_out) because the trace of rho_out is fixed,
+    and the Pauli channel E is self-adjoint, so with M = E(log2 rho_out) the
+    gradient is -2 (M v - <v|M|v> v) / |c|, read as 8 real components.
     """
-    v = state_vectors(x)
-    out = _outputs(superop, v)
-    lam, vecs = np.linalg.eigh(out.reshape(-1, 4, 4))
+    c = x.view(complex)
+    norm = np.linalg.norm(c, axis=1, keepdims=True)
+    v = c / norm
+    lam, vecs = np.linalg.eigh(_outputs(superop, v))
     lam = np.clip(lam, 1e-300, None)
     log_lam = np.log2(lam)
     entropy = np.maximum(-np.sum(lam * log_lam, axis=1), 0.0)
     log_out = (vecs * log_lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     pulled = (log_out.reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
-    bra = np.einsum("nk,nkj->nj", v.conj(), pulled)
-    grad = -2.0 * np.einsum("nij,nj->ni", state_vector_derivatives(x), bra).real
-    return entropy, grad
+    mv = np.einsum("nij,nj->ni", pulled, v)
+    expect = np.einsum("ni,ni->n", v.conj(), mv).real
+    grad = -2.0 * (mv - expect[:, None] * v) / norm
+    return entropy, grad.view(float)
 
 
 def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
-    """BFGS from all (R, 6) start rows at once, on the exact entropy gradient.
+    """BFGS from all (R, 4) unit amplitude rows at once, on the exact entropy gradient.
 
-    Each row keeps an inverse-Hessian estimate H (identity at first, kept
-    where s.y <= 0), a direction p = -H g and a step t. Each pass evaluates
-    x + t p for every live row: a row whose S drops by the Armijo fraction
-    1e-4 of t p.g takes the step, updates H and p and resets t to 1; any
-    other row halves t. A row stops once every gradient component is <=
-    _GRAD_TOL, or when the predicted drop t |p.g| falls below float64
-    resolution with no decrease found, as at a minimum. Returns the final
-    values, rows, rows evaluated and whether _MAX_ITERS passes left a row live.
+    The rows move in the 8 real coordinates of their amplitudes. Each row
+    keeps an inverse-Hessian estimate H (identity at first, kept where
+    s.y <= 0), a direction p = -H g and a step t. Each pass evaluates x + t p
+    for every live row: a row whose S drops by the Armijo fraction 1e-4 of
+    t p.g takes the step, updates H, is scaled back to unit length (its
+    gradient scaled up by the same length, exact as S ignores the length),
+    sets a new p and resets t to 1; any other row halves t. A row stops once
+    every gradient component is <= _GRAD_TOL, or when the predicted drop
+    t |p.g| falls below float64 resolution with no decrease found, as at a
+    minimum. Returns the final values, (R, 4) unit rows, rows evaluated and
+    whether _MAX_ITERS passes left a row live.
     """
-    x = starts.copy()
+    x = starts.copy().view(float)
     f, g = _entropy_and_gradient(x, superop)
     evaluations = len(x)
-    h = np.tile(np.eye(6), (len(x), 1, 1))
+    h = np.tile(np.eye(8), (len(x), 1, 1))
     p, slope, t = -g, -np.einsum("ni,ni->n", g, g), np.ones(len(x))
     live = np.abs(g).max(axis=1) > _GRAD_TOL
     for _ in range(_MAX_ITERS):
@@ -292,15 +292,16 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
         a, s, y = rows[ok], trial[ok] - x[rows[ok]], gt[ok] - g[rows[ok]]
         sy = np.einsum("ni,ni->n", s, y)
         r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
-        v = np.eye(6) - r[:, None, None] * s[:, :, None] * y[:, None, :]
+        v = np.eye(8) - r[:, None, None] * s[:, :, None] * y[:, None, :]
         h[a] = v @ h[a] @ v.transpose(0, 2, 1) + r[:, None, None] * s[:, :, None] * s[:, None, :]
-        x[a], f[a], g[a] = trial[ok], ft[ok], gt[ok]
+        length = np.linalg.norm(trial[ok], axis=1, keepdims=True)
+        x[a], f[a], g[a] = trial[ok] / length, ft[ok], gt[ok] * length
         p[a] = -np.einsum("nij,nj->ni", h[a], g[a])
         slope[a], t[a] = np.einsum("ni,ni->n", p[a], g[a]), 1.0
         live[a] = np.abs(g[a]).max(axis=1) > _GRAD_TOL
         live[rows[stalled]] = False
         t[rows[~(ok | stalled)]] *= 0.5
-    return f, x, evaluations, bool(live.any())
+    return f, x.view(complex), evaluations, bool(live.any())
 
 
 def _grid_rows(g: int, flat: np.ndarray) -> np.ndarray:
@@ -322,16 +323,15 @@ def _grid_best(superop: np.ndarray, g: int) -> np.ndarray:
     Every one of the g**6 cells is diagonalized, _GRID_CHUNK rows at a time.
     """
     flats = (np.arange(lo, min(lo + _GRID_CHUNK, g**6)) for lo in range(0, g**6, _GRID_CHUNK))
-    values = np.concatenate(
-        [_entropies(_outputs(superop, state_vectors(_grid_rows(g, flat)))) for flat in flats]
-    )
+    vecs = (state_vectors(_grid_rows(g, flat)) for flat in flats)
+    values = np.concatenate([_output_entropies(_outputs(superop, v)) for v in vecs])
     return np.argsort(values, kind="stable")[:_REFINEMENTS]
 
 
 def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
     """Output entropies for a batch of parameter rows (theta, phi, psi, phases)."""
     params = np.atleast_2d(np.asarray(params, dtype=float))
-    return _entropies(_outputs(channel_superoperator(channel), state_vectors(params)))
+    return _output_entropies(_outputs(channel_superoperator(channel), state_vectors(params)))
 
 
 def min_entropy_bruteforce(
@@ -340,24 +340,25 @@ def min_entropy_bruteforce(
     """Global minimum of the output entropy over all two-qubit pure states.
 
     A full grid over the six parameters (theta on [0, pi], the others on
-    [0, 2 pi)), evaluated in chunks generated from the flat index, seeds BFGS
-    refinements with the exact entropy gradient from the best three cells;
-    `restarts` further starts are Haar-uniform random states (normalized
-    complex Gaussian 4-vectors) drawn from the seed alone, blind to the
-    channel and to the closed-form families. The best refined row wins, ties
-    broken by lexicographic parameter order, grid ties by flat index; the
-    search is deterministic for a fixed config. evaluations counts all g**6
-    grid points plus objective rows evaluated.
+    [0, 2 pi)), evaluated in chunks generated from the flat index, hands the
+    amplitudes of its best three cells to BFGS refinement with the exact
+    entropy gradient; `restarts` further starts are Haar-uniform random
+    states (normalized complex Gaussian 4-vectors) drawn from the seed alone,
+    blind to the channel and to the closed-form families. Only the refined
+    rows are mapped to the six parameters. The best of them wins, ties broken
+    by lexicographic parameter order, grid ties by flat index; the search is
+    deterministic for a fixed config. evaluations counts all g**6 grid points
+    plus objective rows evaluated.
     """
     if cfg is None:
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
-    best_cells = _grid_rows(g, _grid_best(superop, g))
-
+    cells = state_vectors(_grid_rows(g, _grid_best(superop, g)))
     gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
-    rand = params_from_states(gauss / np.linalg.norm(gauss, axis=1, keepdims=True))
-    values, rows, refine_evals, budget_exceeded = _refine(np.vstack([best_cells, rand]), superop)
+    haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([cells, haar]), superop)
+    rows = params_from_states(vecs)
     best_value, best_x = min(zip(values.tolist(), map(tuple, rows.tolist())))
     best_params = PureStateParams(*best_x)
     spectrum = eig_hermitian4(

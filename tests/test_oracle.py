@@ -277,24 +277,31 @@ class TestBruteForce:
         # S is evaluated to ~1e-13 (amplitude and eigenvalue rounding times
         # |log2 lambda| <= ~10 for these outputs), so the central difference
         # at h = 1e-6 carries ~1e-7 of rounding at most; truncation, h**2
-        # S'''/6, is far below that while no output eigenvalue is tiny.
+        # S'''/6, is far below that while no output eigenvalue is tiny. A row
+        # holds amplitudes of length 0.5 to 2; its entropy is that of the
+        # unit state, reached here through the six parameters.
+        def entropy(rows):
+            c = rows.view(complex)
+            return output_entropies(ch, params_from_states(c / np.linalg.norm(c, axis=1)[:, None]))
+
         h = 1e-6
         for _ in range(40):
             ch = random_channel(rng, mu=float(rng.uniform(0.0, 0.99)))
             superop = channel_superoperator(ch)
-            x = random_params(rng).as_array()
+            x = rng.standard_normal(8)
+            x *= rng.uniform(0.5, 2.0) / np.linalg.norm(x)
             value, grad = _entropy_and_gradient(x[None], superop)
             value, grad = value[0], grad[0]
-            assert abs(value - output_entropies(ch, x)[0]) <= 1e-12
-            up = x + h * np.eye(6)
-            down = x - h * np.eye(6)
-            s_up, s_down = output_entropies(ch, up), output_entropies(ch, down)
-            central = (s_up - s_down) / np.diag(up - down)  # the steps as represented
+            assert abs(value - entropy(x[None])[0]) <= 1e-12
+            up = x + h * np.eye(8)
+            down = x - h * np.eye(8)
+            # divided by the steps as represented
+            central = (entropy(up) - entropy(down)) / np.diag(up - down)
             assert np.abs(grad - central).max() <= 1e-7
 
     def test_refinement_passes(self, monkeypatch):
         # a count, not a time: every live start takes one trial point per
-        # pass, so a start halving its step holds up no other (61 calls here)
+        # pass, so a start halving its step holds up no other (39 calls here)
         calls = []
         objective = oracle._entropy_and_gradient
         monkeypatch.setattr(
@@ -308,13 +315,29 @@ class TestBruteForce:
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         superop = channel_superoperator(ch)
         gauss = rng.standard_normal((12, 8)).view(complex)
-        starts = params_from_states(gauss / np.linalg.norm(gauss, axis=1, keepdims=True))
+        starts = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         together = _refine(starts, superop)[0]
         for start, value in zip(starts, together):
             assert abs(_refine(start[None], superop)[0][0] - value) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "ch",
+        [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.5, 1.0)] + [depolarizing(0.25, 0.3)],
+        ids=["worked-0.5", "worked-1", "depolarizing"],
+    )
+    def test_refined_rows_are_unit_states(self, ch):
+        # the refinement moves amplitudes of any length but hands back unit
+        # states, and the parameters read from the winner reproduce its value
+        gauss = np.random.default_rng(5).standard_normal((8, 8)).view(complex)
+        starts = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        rows = _refine(starts, channel_superoperator(ch))[1]
+        assert rows.shape == (8, 4)
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
+        res = min_entropy_bruteforce(ch)
+        assert abs(output_entropies(ch, res.best_params.as_array())[0] - res.min_entropy) <= 1e-12
+
     def test_default_search_cost(self):
-        # a count, not a time: the grid plus at most 3000 objective calls
+        # a count, not a time: the grid plus fewer than 3000 objective rows
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         res = min_entropy_bruteforce(ch)
         assert res.evaluations - SearchConfig().grid_points_per_angle ** 6 < 3000
@@ -378,8 +401,10 @@ class TestGridStage:
     def test_grid_stage_cost(self, monkeypatch):
         # a count, not a time: rows diagonalized by the grid stage
         rows = []
-        entropies = oracle._entropies
-        monkeypatch.setattr(oracle, "_entropies", lambda out: rows.append(len(out)) or entropies(out))
+        entropies = oracle._output_entropies
+        monkeypatch.setattr(
+            oracle, "_output_entropies", lambda out: rows.append(len(out)) or entropies(out)
+        )
         min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5))
         assert sum(rows) < 10_000
 
