@@ -17,14 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    PauliChannel,
-    Thresholds,
-    _epsilon_matrix,
-    apply_channel,
-    channel_params,
-)
+from .channel import ChannelParams, PauliChannel, Thresholds, _capacity_inputs, apply_channel
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2
 
@@ -50,29 +43,35 @@ def _sum4(x: np.ndarray) -> np.ndarray:
     return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
 
 
-def _branch_spectra(eps2: np.ndarray, l: int, e_l) -> np.ndarray:
-    """Output spectra of both input families at N points, shape (N, 2, 4).
+def _eps_diagonal(eps: list, mu) -> list:
+    """eps_kk(mu) = (1 - mu) eps_k^2 + mu for k = 0..3, bit for bit the diagonal
+    of the eps_kk' matrix; mu is a float (one point) or an (N,) grid."""
+    return [(1.0 - mu) * x * x + mu for x in eps]
 
-    eps2 holds the eps_kk' matrix of each point, shape (N, 4, 4), of which
-    only the diagonal is read; l is the dominant axis and e_l = eps_l.
-    [:, 0] is the product spectrum (see spectrum_product_regime), [:, 1] the
-    Bell spectrum (see spectrum_bell_regime), each sorted descending.
+
+def _branch_spectra(d, l: int, e_l) -> np.ndarray:
+    """Output spectra of both input families, shape (2, 4), or (N, 2, 4) over a grid.
+
+    d[k] = eps_kk for k = 0..3, each a float (one point) or an (N,) column;
+    l is the dominant axis and e_l = eps_l. [..., 0, :] is the product
+    spectrum (see spectrum_product_regime), [..., 1, :] the Bell spectrum
+    (see spectrum_bell_regime), each sorted descending.
     """
-    e11, e22, e33 = eps2[:, 1, 1], eps2[:, 2, 2], eps2[:, 3, 3]
-    e_ll = eps2[:, l, l]
-    lam = np.empty((len(eps2), 2, 4))
+    e11, e22, e33 = d[1], d[2], d[3]
+    e_ll = d[l]
+    lam = np.empty(np.shape(e11) + (2, 4))
     a = 1.0 + e_ll
-    lam[:, 0, 0] = a + 2.0 * e_l
-    lam[:, 0, 1] = a - 2.0 * e_l
-    lam[:, 0, 2] = lam[:, 0, 3] = 1.0 - e_ll
+    lam[..., 0, 0] = a + 2.0 * e_l
+    lam[..., 0, 1] = a - 2.0 * e_l
+    lam[..., 0, 2] = lam[..., 0, 3] = 1.0 - e_ll
     a = 1.0 + e33
     b = 1.0 - e33
-    lam[:, 1, 0] = a + e11 + e22
-    lam[:, 1, 1] = a - e11 - e22
-    lam[:, 1, 2] = b + e11 - e22
-    lam[:, 1, 3] = b - e11 + e22
+    lam[..., 1, 0] = a + e11 + e22
+    lam[..., 1, 1] = a - e11 - e22
+    lam[..., 1, 2] = b + e11 - e22
+    lam[..., 1, 3] = b - e11 + e22
     lam /= 4.0
-    lam.sort(axis=2)
+    lam.sort(axis=-1)
     return lam[..., ::-1]
 
 
@@ -112,7 +111,7 @@ def entropy_bits(lambdas) -> float:
 
 def _cp_spectra(cp: ChannelParams) -> np.ndarray:
     l = cp.ordering[0]
-    return _branch_spectra(cp.eps2[None], l, cp.eps[l])[0]
+    return _branch_spectra(cp.eps2.diagonal().tolist(), l, cp.eps[l].item())
 
 
 def spectrum_product_regime(cp: ChannelParams) -> np.ndarray:
@@ -247,14 +246,16 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     Evaluates both analytic branches and returns c2 = 1 - S_min/2. The regime
     label comes from comparing the two entropies directly (differences below
     1e-12 report TIE); mu_star is reported alongside but not used for the
-    decision, because the entropy crossover can sit a hair away from it.
-    On a tie the product family is named in the descriptor; both families
-    are then optimal.
+    decision. mu_star is where the two output spectra have equal purity
+    sum(lam^2), not equal entropy, so the entropies can still differ there
+    by a few hundredths of a bit. On a tie the product family is named in
+    the descriptor; both families are then optimal.
     """
-    cp = channel_params(channel)
-    lam = _cp_spectra(cp)
+    eps, order, th = _capacity_inputs(channel)
+    l = order[0]
+    lam = _branch_spectra(_eps_diagonal(eps, channel.mu), l, eps[l])
     s_p, s_b = _entropies(lam).tolist()
-    return _result(channel.mu, lam, s_p, s_b, cp.ordering[0], cp.thresholds)
+    return _result(channel.mu, lam, s_p, s_b, l, th)
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,14 +308,14 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
 
     The grid is checked as a whole first: the first value outside [0, 1]
     (NaN and infinities included) raises OutOfRange, as PauliChannel would.
-    The curve is then one array pass; eps, the ordering and the thresholds
-    are computed once.
+    The curve is then one array pass over the eps_kk columns; eps, the
+    ordering and the thresholds are computed once.
     """
     mu = _checked_mu_grid(channel_base, mu_grid).copy()  # the curve owns, and freezes, its grid
-    cp = channel_params(channel_base)
-    l = cp.ordering[0]
-    lam = _branch_spectra(_epsilon_matrix(cp.eps, mu[:, None, None]), l, cp.eps[l])
-    return CapacityCurve(mu, lam, _entropies(lam), l, cp.thresholds)
+    eps, order, th = _capacity_inputs(channel_base)
+    l = order[0]
+    lam = _branch_spectra(_eps_diagonal(eps, mu), l, eps[l])
+    return CapacityCurve(mu, lam, _entropies(lam), l, th)
 
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> np.ndarray:

@@ -116,8 +116,8 @@ def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
     return _epsilon_matrix(epsilon_vector(channel), channel.mu)
 
 
-def _epsilon_matrix(eps: np.ndarray, mu):
-    """eps_kk' from the eps vector; an array mu of shape (N, 1, 1) gives N matrices."""
+def _epsilon_matrix(eps: np.ndarray, mu: float) -> np.ndarray:
+    """eps_kk' from the eps vector at one memory value mu."""
     return (1.0 - mu) * eps[:, None] * eps[None, :] + mu * eps[PRODUCT_INDEX]
 
 
@@ -140,7 +140,7 @@ def ordering(channel: PauliChannel) -> tuple[int, int, int]:
     return _ordering(epsilon_vector(channel))
 
 
-def _ordering(eps: np.ndarray) -> tuple[int, int, int]:
+def _ordering(eps) -> tuple[int, int, int]:
     ranked = sorted((1, 2, 3), key=lambda k: (-abs(eps[k]), k))
     return (ranked[0], ranked[1], ranked[2])
 
@@ -175,11 +175,19 @@ def _clamp01(x: float) -> float:
 
 def thresholds(channel: PauliChannel) -> Thresholds:
     """Both memory thresholds of the channel (mu itself is ignored)."""
-    eps = epsilon_vector(channel)
-    return _thresholds(eps, _ordering(eps))
+    return _capacity_inputs(channel)[2]
 
 
-def _thresholds(eps: np.ndarray, order: tuple[int, int, int]) -> Thresholds:
+def _capacity_inputs(channel: PauliChannel) -> tuple[list, tuple[int, int, int], Thresholds]:
+    """eps as plain floats, the magnitude ordering and the thresholds: all that
+    does not depend on mu. Every route to Thresholds goes through here, so its
+    fields are plain floats."""
+    eps = epsilon_vector(channel).tolist()
+    order = _ordering(eps)
+    return eps, order, _thresholds(eps, order)
+
+
+def _thresholds(eps: list[float], order: tuple[int, int, int]) -> Thresholds:
     l, m, s = order
     em2 = eps[m] * eps[m]
     es2 = eps[s] * eps[s]
@@ -217,13 +225,10 @@ class ChannelParams:
 
 
 def channel_params(channel: PauliChannel) -> ChannelParams:
-    eps = epsilon_vector(channel)
-    order = _ordering(eps)
+    eps, order, th = _capacity_inputs(channel)
+    eps = np.array(eps)
     return ChannelParams(
-        eps=eps,
-        eps2=_epsilon_matrix(eps, channel.mu),
-        ordering=order,
-        thresholds=_thresholds(eps, order),
+        eps=eps, eps2=_epsilon_matrix(eps, channel.mu), ordering=order, thresholds=th
     )
 
 

@@ -30,6 +30,7 @@ from paulimem import (
     spectrum_product_regime,
     sweep_to_csv,
     sweep_to_json,
+    thresholds,
     verify_ensemble_achievability,
 )
 from paulimem import capacity as capacity_module
@@ -268,6 +269,71 @@ class TestSweepMatchesPoints:
         assert calls == {"eps": 1, "thresholds": 1}
         capacity_sweep(ch, np.linspace(0.0, 1.0, 101))
         assert calls == {"eps": 2, "thresholds": 2}
+
+    def test_spectrum_functions_equal_curve_columns(self):
+        # the third route: spectrum_*_regime read the eps matrix of channel_params
+        for ch in self.channels():
+            mu_star = capacity_two_use(ch).mu_star
+            grid = np.concatenate([np.linspace(0.0, 1.0, 201), [0.0, 1.0, mu_star]])
+            curve = capacity_sweep(ch, grid)
+            for mu, lam in zip(grid.tolist(), curve.spectra):
+                cp = channel_params(ch.with_mu(mu))
+                assert spectrum_product_regime(cp).tobytes() == lam[0].tobytes()
+                assert spectrum_bell_regime(cp).tobytes() == lam[1].tobytes()
+
+    def test_capacity_builds_no_eps_matrix(self, monkeypatch):
+        calls = []
+        real = channel_module._epsilon_matrix
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(channel_module, "_epsilon_matrix", counting)
+        if hasattr(capacity_module, "_epsilon_matrix"):
+            monkeypatch.setattr(capacity_module, "_epsilon_matrix", counting)
+        ch = PauliChannel(ILLUSTRATION_Q, 0.3)
+        capacity_two_use(ch)
+        capacity_sweep(ch, np.linspace(0.0, 1.0, 101))
+        assert calls == []
+        channel_params(ch)  # the counter does see the route that builds it
+        assert len(calls) == 1
+
+    def test_thresholds_are_plain_floats_on_every_route(self):
+        fields = ("mu_ml", "mu_star", "mu_ml_raw", "mu_star_raw")
+        for ch in self.channels():
+            r = capacity_two_use(ch)
+            assert type(r.mu_ml) is float and type(r.mu_star) is float
+            curve = capacity_sweep(ch, [ch.mu])
+            for th in (thresholds(ch), channel_params(ch).thresholds, curve.thresholds):
+                assert [type(getattr(th, f)) for f in fields] == [float] * 4
+                assert "np." not in repr(th)
+
+
+class TestMuStar:
+    """mu_star solves eps_mm^2 + eps_ss^2 = 2 eps_l^2: equal purity, not equal entropy."""
+
+    @staticmethod
+    def interior_points():
+        rng = np.random.default_rng(2026)
+        for _ in range(300):
+            ch = PauliChannel(tuple(rng.dirichlet(np.ones(4)).tolist()), 0.0)
+            th = thresholds(ch)
+            if not th.degenerate and 0.0 < th.mu_star_raw < 1.0:
+                yield capacity_two_use(ch.with_mu(th.mu_star))
+
+    def test_branches_have_equal_purity(self):
+        points = list(self.interior_points())
+        assert len(points) > 250
+        for r in points:
+            purity_p = float(np.sum(r.lambdas_product**2))
+            purity_b = float(np.sum(r.lambdas_bell**2))
+            assert abs(purity_p - purity_b) <= 1e-12
+
+    def test_entropies_need_not_cross_there(self):
+        # so mu_star does not decide the regime; the entropies are compared directly
+        gaps = [abs(r.entropy_product - r.entropy_bell) for r in self.interior_points()]
+        assert max(gaps) > 0.01
 
 
 class TestSweepGrid:
