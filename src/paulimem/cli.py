@@ -57,8 +57,14 @@ def _parse_grid(text: str) -> list[float]:
     return [float(min(start + k * step, end)) for k in range(count)]
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad flag is one `error:` line and exit 2, like any other input error."""
+        self.exit(2, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="paulimem",
         description="Two-use classical capacity of Pauli channels with correlated noise.",
     )

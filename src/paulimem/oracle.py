@@ -58,6 +58,9 @@ _MAX_ITERS = 5000
 # random start takes 8 floats for its state.
 _MAX_GRID_POINTS_PER_ANGLE = 10
 _MAX_RESTARTS = 1000
+# _KRON[4 i + j] = kron(U, U^T) for U = PAULI2[i, j]: vec(U rho U) = (U kron U^T) vec(rho).
+_KRON = np.einsum("kab,kdc->kacbd", *[PAULI2.reshape(16, 4, 4)] * 2).reshape(16, 16, 16)
+_KRON.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -220,14 +223,12 @@ def a2_coefficient(cp, w: np.ndarray) -> tuple[float, float, float, float]:
 
 
 def channel_superoperator(channel: PauliChannel) -> np.ndarray:
-    """16x16 matrix acting on row-major vec(rho)."""
-    p = channel.joint_probabilities()
-    m = np.zeros((16, 16), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            u = PAULI2[i, j]
-            m += p[i, j] * np.kron(u, u.T)  # vec(U rho U) = (U kron U^T) vec(rho)
-    return m
+    """16x16 matrix acting on row-major vec(rho).
+
+    The 16 weighted terms are added one after another in index order, so the
+    matrix is bit for bit the sum term by term.
+    """
+    return (channel.joint_probabilities().reshape(16, 1, 1) * _KRON).sum(axis=0)
 
 
 def _outputs(superop: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -244,17 +245,16 @@ def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarra
     and the Pauli channel E is self-adjoint, so with M = E(log2 rho_out) the
     gradient is -2 (M v - <v|M|v> v) / |c|, read as 8 real components.
     """
-    c = x.view(complex)
-    norm = np.linalg.norm(c, axis=1, keepdims=True)
-    v = c / norm
+    norm = np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
+    v = x.view(complex) / norm
     lam, vecs = np.linalg.eigh(_outputs(superop, v))
-    lam = np.clip(lam, 1e-300, None)
+    lam = np.maximum(lam, 1e-300)
     log_lam = np.log2(lam)
-    entropy = np.maximum(-np.sum(lam * log_lam, axis=1), 0.0)
+    entropy = np.maximum(-(lam * log_lam).sum(axis=1), 0.0)
     log_out = (vecs * log_lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     pulled = (log_out.reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
-    mv = np.einsum("nij,nj->ni", pulled, v)
-    expect = np.einsum("ni,ni->n", v.conj(), mv).real
+    mv = (pulled @ v[:, :, None])[:, :, 0]
+    expect = np.einsum("ni,ni->n", v.view(float), mv.view(float))  # Re <v|M v>
     grad = -2.0 * (mv - expect[:, None] * v) / norm
     return entropy, grad.view(float)
 
@@ -271,37 +271,50 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     sets a new p and resets t to 1; any other row halves t. A row stops once
     every gradient component is <= _GRAD_TOL, or when the predicted drop
     t |p.g| falls below float64 resolution with no decrease found, as at a
-    minimum. Returns the final values, (R, 4) unit rows, rows evaluated and
-    whether _MAX_ITERS passes left a row live.
+    minimum. The working arrays hold live rows only, with idx mapping each
+    back to its start; a row converged on entry never enters them. A pass
+    that stops rows writes their x and f into the result once and drops
+    them from the working arrays, so no pass touches a stopped row. Returns
+    the final values, (R, 4) unit rows, rows evaluated and whether
+    _MAX_ITERS passes left a row live.
     """
-    x = starts.copy().view(float)
-    f, g = _entropy_and_gradient(x, superop)
-    evaluations = len(x)
-    h = np.tile(np.eye(8), (len(x), 1, 1))
-    p, slope, t = -g, -np.einsum("ni,ni->n", g, g), np.ones(len(x))
-    live = np.abs(g).max(axis=1) > _GRAD_TOL
+    out_x = starts.copy().view(float)
+    out_f, g = _entropy_and_gradient(out_x, superop)
+    evaluations = len(out_x)
+    idx = np.flatnonzero(np.abs(g).max(axis=1) > _GRAD_TOL)
+    x, f, g = out_x[idx], out_f[idx], g[idx]
+    eye, eps = np.eye(8), np.finfo(float).eps
+    h = np.tile(eye, (len(idx), 1, 1))
+    p, slope, t = -g, -np.einsum("ni,ni->n", g, g), np.ones(len(idx))
     for _ in range(_MAX_ITERS):
-        rows = np.flatnonzero(live)
-        if not rows.size:
+        if not idx.size:
             break
-        trial = x[rows] + t[rows, None] * p[rows]
+        trial = x + t[:, None] * p
         ft, gt = _entropy_and_gradient(trial, superop)
-        evaluations += rows.size
-        ok = (ft < f[rows]) & (ft <= f[rows] + 1e-4 * t[rows] * slope[rows])
-        stalled = ~ok & (t[rows] * slope[rows] >= -np.finfo(float).eps)
-        a, s, y = rows[ok], trial[ok] - x[rows[ok]], gt[ok] - g[rows[ok]]
+        evaluations += idx.size
+        ok = (ft < f) & (ft <= f + 1e-4 * t * slope)
+        stop = ~ok & (t * slope >= -eps)  # stalled
+        t[~(ok | stop)] *= 0.5
+        a = np.flatnonzero(ok)
+        xa, ga = trial[a], gt[a]
+        s, y = xa - x[a], ga - g[a]
         sy = np.einsum("ni,ni->n", s, y)
         r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
-        v = np.eye(8) - r[:, None, None] * s[:, :, None] * y[:, None, :]
-        h[a] = v @ h[a] @ v.transpose(0, 2, 1) + r[:, None, None] * s[:, :, None] * s[:, None, :]
-        length = np.linalg.norm(trial[ok], axis=1, keepdims=True)
-        x[a], f[a], g[a] = trial[ok] / length, ft[ok], gt[ok] * length
-        p[a] = -np.einsum("nij,nj->ni", h[a], g[a])
-        slope[a], t[a] = np.einsum("ni,ni->n", p[a], g[a]), 1.0
-        live[a] = np.abs(g[a]).max(axis=1) > _GRAD_TOL
-        live[rows[stalled]] = False
-        t[rows[~(ok | stalled)]] *= 0.5
-    return f, x.view(complex), evaluations, bool(live.any())
+        rs = (r[:, None] * s)[:, :, None]
+        v = eye - rs * y[:, None, :]
+        ha = v @ h[a] @ v.transpose(0, 2, 1) + rs * s[:, None, :]
+        length = np.sqrt(np.einsum("ni,ni->n", xa, xa))[:, None]
+        ga = ga * length
+        pa = -(ha @ ga[:, :, None])[:, :, 0]
+        x[a], f[a], g[a], h[a], p[a] = xa / length, ft[a], ga, ha, pa
+        slope[a], t[a] = np.einsum("ni,ni->n", pa, ga), 1.0
+        stop[a] = np.abs(ga).max(axis=1) <= _GRAD_TOL
+        if stop.any():
+            out_x[idx[stop]], out_f[idx[stop]] = x[stop], f[stop]
+            keep = np.flatnonzero(~stop)
+            idx, x, f, g, h, p, slope, t = (w[keep] for w in (idx, x, f, g, h, p, slope, t))
+    out_x[idx], out_f[idx] = x, f
+    return out_f, out_x.view(complex), evaluations, bool(idx.size)
 
 
 def _grid_rows(g: int, flat: np.ndarray) -> np.ndarray:

@@ -272,6 +272,22 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "argv, message",
         [
+            (("--mu", "abc", "capacity"), "argument --mu: invalid float value: 'abc'"),
+            (("--q", "0.2,0.1", "--mu", "0.5", "capacity"), "expected 4 comma-separated"),
+            (("--mu-grid", "0:1:1e-7", "sweep"), "grid has more than 1000001 points"),
+            (("--mu", "0.5", "--restarts", "1.5", "verify"), "invalid int value: '1.5'"),
+        ],
+        ids=["mu-abc", "q-two-values", "grid-over-bound", "restarts-float"],
+    )
+    def test_bad_flag(self, argv, message):
+        argv = argv if "--q" in argv else ("--q", "0.2,0.1,0.3,0.4", *argv)
+        proc = self._run(*argv)
+        self._assert_one_error_line(proc)
+        assert message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
             (("--mu", "0.5", "--seed", "-1"), "seed must be nonnegative"),
             (("--mu-grid", "0:1.5:0.5"), "mu outside [0, 1]: 1.5"),
         ],

@@ -43,6 +43,18 @@ from paulimem.oracle import (
 from conftest import ILLUSTRATION_Q, random_channel, random_params, random_pure_density
 
 
+_GRID_CHANNELS = [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.0, 0.3, 0.5, 0.8, 1.0)] + [
+    depolarizing(0.25, 0.3),
+    PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5),  # every cell ties at 0
+    PauliChannel((0.25,) * 4, 0.0),  # every output is I/4
+    PauliChannel((0.5, 0.5, 0.0, 0.0), 0.2),
+]
+
+
+def _channel_id(ch):
+    return f"{ch.q}-{ch.mu}"
+
+
 class TestOutputMatrix:
     def test_maximally_mixed(self, rng):
         w = np.zeros((4, 4))
@@ -245,10 +257,31 @@ class TestBruteForce:
         assert a.best_params == b.best_params
         assert a.evaluations == b.evaluations
 
-    def test_budget_flag(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_MAX_ITERS", 1)
+    @pytest.mark.parametrize("max_iters", [1, 2, 3])
+    def test_budget_flag(self, monkeypatch, max_iters):
+        ch = PauliChannel(ILLUSTRATION_Q, 0.4)
+        superop = channel_superoperator(ch)
+        gauss = np.random.default_rng(7).standard_normal((6, 8)).view(complex)
+        far = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        # refined rows, converged on entry, and the same rows nudged off
+        # their minima, some of which stop in the first passes
+        near = _refine(far, superop)[1]
+        nudged = near + 3e-8 * np.random.default_rng(8).standard_normal((6, 8)).view(complex)
+        nudged /= np.linalg.norm(nudged, axis=1, keepdims=True)
+        starts = np.vstack([far, near, nudged])
+        start_values, grad = _entropy_and_gradient(starts.view(float), superop)
+        live = np.abs(grad).max(axis=1) > oracle._GRAD_TOL
+        monkeypatch.setattr(oracle, "_MAX_ITERS", max_iters)
+        values, rows, evaluations, exceeded = _refine(starts, superop)
+        assert exceeded and 0 < live.sum() < len(starts)
+        if max_iters > 1:  # some live row stopped before the last pass
+            assert evaluations < len(starts) + max_iters * live.sum()
+        assert values.shape == (18,) and np.all(np.isfinite(values))
+        # best so far, also for the random starts still live at the cap
+        assert (values <= start_values).all() and (values[:6] < start_values[:6]).any()
+        assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 1e-12
         cfg = SearchConfig(grid_points_per_angle=3, restarts=1)
-        res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.4), cfg)
+        res = min_entropy_bruteforce(ch, cfg)
         assert res.budget_exceeded
         assert np.isfinite(res.min_entropy)  # best-so-far is still returned
 
@@ -266,12 +299,13 @@ class TestBruteForce:
             lam = np.linalg.eigvalsh(apply_channel(ch, rho))
             assert entropy_bits(lam) == pytest.approx(expected, abs=1e-12)
 
-    def test_superoperator_action(self, rng):
-        ch = random_channel(rng)
+    @pytest.mark.parametrize("ch", _GRID_CHANNELS, ids=_channel_id)
+    def test_superoperator_action(self, rng, ch):
         m = channel_superoperator(ch)
-        rho = random_pure_density(rng)
-        out = (m @ rho.reshape(16)).reshape(4, 4)
-        assert np.abs(out - apply_channel(ch, rho)).max() < 1e-12
+        for _ in range(20):
+            rho = random_pure_density(rng)
+            out = (m @ rho.reshape(16)).reshape(4, 4)
+            assert np.abs(out - apply_channel(ch, rho)).max() < 1e-12
 
     def test_objective_value_and_gradient(self, rng):
         # S is evaluated to ~1e-13 (amplitude and eigenvalue rounding times
@@ -310,15 +344,38 @@ class TestBruteForce:
         min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5))
         assert len(calls) <= 80
 
-    def test_rows_refine_independently(self, rng):
-        # a batch is only a vectorization: each row ends where it ends alone
-        ch = PauliChannel(ILLUSTRATION_Q, 0.5)
+    @pytest.mark.parametrize(
+        "ch, extra, stops",
+        [
+            (PauliChannel(ILLUSTRATION_Q, 0.5), [], "gradient"),
+            # the minima have pure outputs, where every random start stalls;
+            # the Bell start has zero gradient on entry
+            (PauliChannel(ILLUSTRATION_Q, 1.0), [[1, 0, 0, 1]], "stall"),
+            (PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5), [], "entry"),  # every start
+        ],
+        ids=["worked-0.5", "worked-1", "identity"],
+    )
+    def test_rows_refine_independently(self, rng, ch, extra, stops):
+        # a batch is only a vectorization: each row ends where it ends alone,
+        # whether it stops on the gradient, stalls or is converged on entry
         superop = channel_superoperator(ch)
         gauss = rng.standard_normal((12, 8)).view(complex)
-        starts = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-        together = _refine(starts, superop)[0]
-        for start, value in zip(starts, together):
+        starts = np.vstack([gauss, np.array(extra, dtype=complex).reshape(-1, 4)])
+        starts /= np.linalg.norm(starts, axis=1, keepdims=True)
+        values, rows, evaluations, exceeded = _refine(starts, superop)
+        assert not exceeded
+        for start, value in zip(starts, values):
             assert abs(_refine(start[None], superop)[0][0] - value) <= 1e-12
+        entry = np.abs(_entropy_and_gradient(starts.view(float), superop)[1]).max(axis=1)
+        entry = entry <= oracle._GRAD_TOL
+        assert np.array_equal(rows[entry], starts[entry])  # handed back untouched
+        final = np.abs(_entropy_and_gradient(rows.view(float), superop)[1]).max(axis=1)
+        if stops == "entry":
+            assert entry.all() and evaluations == len(starts)
+        elif stops == "stall":
+            assert entry[12:].all() and (final[:12] > oracle._GRAD_TOL).all()
+        else:
+            assert not entry.any() and (final < 10 * oracle._GRAD_TOL).all()
 
     @pytest.mark.parametrize(
         "ch",
@@ -351,18 +408,6 @@ class TestBruteForce:
         chunks = [_grid_rows(g, np.arange(lo, min(lo + 50, g**6))) for lo in range(0, g**6, 50)]
         assert np.array_equal(np.concatenate(chunks), mesh)
         assert np.array_equal(_grid_rows(g, np.array([g**6 - 1, 5, 0])), mesh[[g**6 - 1, 5, 0]])
-
-
-_GRID_CHANNELS = [PauliChannel(ILLUSTRATION_Q, mu) for mu in (0.0, 0.3, 0.5, 0.8, 1.0)] + [
-    depolarizing(0.25, 0.3),
-    PauliChannel((1.0, 0.0, 0.0, 0.0), 0.5),  # every cell ties at 0
-    PauliChannel((0.25,) * 4, 0.0),  # every output is I/4
-    PauliChannel((0.5, 0.5, 0.0, 0.0), 0.2),
-]
-
-
-def _channel_id(ch):
-    return f"{ch.q}-{ch.mu}"
 
 
 def _mirrored_flat(g, flat):
