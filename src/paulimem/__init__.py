@@ -67,7 +67,6 @@ from .states import (
     params_from_states,
     pauli_weights,
     product_optimal_state,
-    random_pure_params,
     state_vector,
     state_vectors,
     weights_to_density,

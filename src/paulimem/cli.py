@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal, DecimalException, InvalidOperation
 
 from .capacity import capacity_sweep, csv_text, json_float, json_text, sweep_to_csv, sweep_to_json
 from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
@@ -50,11 +50,16 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if start > end:
         raise argparse.ArgumentTypeError("grid start exceeds end")
-    # Endpoints inclusive within half a step.
-    count = int((end - start) / step + Decimal("0.5")) + 1
-    if count > _MAX_GRID_POINTS:
+    # Endpoints inclusive within half a step. An exponent past Decimal's range
+    # (0:1:1e-999999999) overflows here. The bound is checked on the Decimal:
+    # int() of a quotient near 1e999999 alone takes ~40 s.
+    try:
+        steps = (end - start) / step + Decimal("0.5")
+    except DecimalException:
+        raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
+    if steps >= _MAX_GRID_POINTS:
         raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
-    return [float(min(start + k * step, end)) for k in range(count)]
+    return [float(min(start + k * step, end)) for k in range(int(steps) + 1)]
 
 
 class _Parser(argparse.ArgumentParser):

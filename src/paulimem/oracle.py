@@ -35,10 +35,6 @@ _HERM_TOL = 1e-9
 # eig_hermitian4's off-diagonal norm tolerance, relative to max(|entry|, 1), and sweep cap.
 _JACOBI_TOL = 1e-12
 _JACOBI_SWEEPS = 60
-# Grid rows evaluated per batch: bounds a batch's working set at a few MB
-# whatever the grid size; the kept entropies take 8 bytes a cell, 8 MB at the
-# cap. 16,384 rows ran no faster and raised peak RSS ~8 MB.
-_GRID_CHUNK = 8_192
 # A refinement row stops once every gradient component is at most this.
 # At the worked example (mu 0.2, 0.5, 0.8) and depolarizing(0.25, 0.3), 1e-7
 # ends at the entropy's float64 resolution (~1e-15) and 1e-9 costs ~9% more
@@ -54,9 +50,10 @@ _TOL_ENTROPY = 1e-6
 # step halved); a start still live at the cap sets OracleResult.budget_exceeded.
 _MAX_ITERS = 5000
 # Caps on the user-set search sizes, checked before anything is allocated:
-# the grid holds grid_points_per_angle**6 points (10**6 at the cap) and each
-# random start takes 8 floats for its state.
-_MAX_GRID_POINTS_PER_ANGLE = 10
+# the grid holds grid_points_per_angle**6 points, evaluated in one batch
+# (4,096 at the cap, ~2.4 MB of peak memory for a search), and each random
+# start takes 8 floats for its state.
+_MAX_GRID_POINTS_PER_ANGLE = 4
 _MAX_RESTARTS = 1000
 # _KRON[4 i + j] = kron(U, U^T) for U = PAULI2[i, j]: vec(U rho U) = (U kron U^T) vec(rho).
 _KRON = np.einsum("kab,kdc->kacbd", *[PAULI2.reshape(16, 4, 4)] * 2).reshape(16, 16, 16)
@@ -317,28 +314,15 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     return out_f, out_x.view(complex), evaluations, bool(idx.size)
 
 
-def _grid_rows(g: int, flat: np.ndarray) -> np.ndarray:
-    """Search-grid rows at flat indices into the C-ordered (g,)*6 layout.
+def _grid(g: int) -> np.ndarray:
+    """The g**6 search-grid rows, row k being row k of the flattened ij meshgrid.
 
     theta runs over [0, pi] with both endpoints, the five other angles over
-    [0, 2 pi) without the endpoint; row k is row k of the ij-indexed meshgrid
-    of these axes, flattened.
+    [0, 2 pi) without the endpoint.
     """
     axes = [np.linspace(0.0, np.pi, g)]
     axes += [np.linspace(0.0, 2.0 * np.pi, g, endpoint=False)] * 5
-    idx = np.unravel_index(flat, (g,) * 6)
-    return np.stack([ax[i] for ax, i in zip(axes, idx)], axis=1)
-
-
-def _grid_best(superop: np.ndarray, g: int) -> np.ndarray:
-    """Flat indices of the _REFINEMENTS best grid cells, as a stable argsort ranks them.
-
-    Every one of the g**6 cells is diagonalized, _GRID_CHUNK rows at a time.
-    """
-    flats = (np.arange(lo, min(lo + _GRID_CHUNK, g**6)) for lo in range(0, g**6, _GRID_CHUNK))
-    vecs = (state_vectors(_grid_rows(g, flat)) for flat in flats)
-    values = np.concatenate([_output_entropies(_outputs(superop, v)) for v in vecs])
-    return np.argsort(values, kind="stable")[:_REFINEMENTS]
+    return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
 def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
@@ -353,13 +337,14 @@ def min_entropy_bruteforce(
     """Global minimum of the output entropy over all two-qubit pure states.
 
     A full grid over the six parameters (theta on [0, pi], the others on
-    [0, 2 pi)), evaluated in chunks generated from the flat index, hands the
-    amplitudes of its best three cells to BFGS refinement with the exact
-    entropy gradient; `restarts` further starts are Haar-uniform random
-    states (normalized complex Gaussian 4-vectors) drawn from the seed alone,
+    [0, 2 pi)), at most 4,096 cells evaluated in one batch, hands the
+    amplitudes of its best three cells, as a stable argsort of their output
+    entropies ranks them, to BFGS refinement with the exact entropy
+    gradient; `restarts` further starts are Haar-uniform random states
+    (normalized complex Gaussian 4-vectors) drawn from the seed alone,
     blind to the channel and to the closed-form families. Only the refined
     rows are mapped to the six parameters. The best of them wins, ties broken
-    by lexicographic parameter order, grid ties by flat index; the search is
+    by lexicographic parameter order, grid ties by row index; the search is
     deterministic for a fixed config. evaluations counts all g**6 grid points
     plus objective rows evaluated.
     """
@@ -367,7 +352,9 @@ def min_entropy_bruteforce(
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
-    cells = state_vectors(_grid_rows(g, _grid_best(superop, g)))
+    grid = state_vectors(_grid(g))
+    order = np.argsort(_output_entropies(_outputs(superop, grid)), kind="stable")
+    cells = grid[order[:_REFINEMENTS]]
     gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
     haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([cells, haar]), superop)

@@ -163,17 +163,6 @@ def bell_state(eta: int, nu: int, xi: int) -> np.ndarray:
     return out / 4.0
 
 
-def random_pure_params(seed: int) -> PureStateParams:
-    """Deterministic pseudo-random parameters, all six uniform on [0, 2*pi).
-
-    Uniform in parameter space, not Haar-uniform on states; every pure state
-    identity tested here holds pointwise, so full support is all that matters.
-    """
-    rng = np.random.default_rng(seed)
-    vals = rng.uniform(0.0, 2.0 * np.pi, 6)
-    return PureStateParams(*(float(v) for v in vals))
-
-
 def params_from_states(vecs: np.ndarray) -> np.ndarray:
     """Invert state_vectors up to a global phase: (N, 4) amplitudes -> (N, 6) rows.
 

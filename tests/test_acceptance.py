@@ -32,7 +32,6 @@ from paulimem import (
     output_matrix,
     pauli_weights,
     product_optimal_state,
-    random_pure_params,
     spectrum_bell_regime,
     spectrum_product_regime,
     state_vector,
@@ -132,7 +131,7 @@ def test_constraint_identities():
     with criterion("constraint identities (10000 states, 1e-10, < 30 s)"):
         start = perf_counter()
         for seed in range(10000):
-            params = random_pure_params(seed)
+            params = random_params(np.random.default_rng(seed))
             w = pauli_weights(density_matrix(state_vector(params)))
             assert abs(((w**2).sum() - 1.0) - 3.0) < 1e-10
             for j, k, n in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):

@@ -125,8 +125,9 @@ class TestCapacityAndSweep:
 
     def test_grid_size_bound_checked_before_building(self, monkeypatch):
         # Only the count is computed before the check, so none of these
-        # builds a list; 0:1:1e-12 would be 1e12 floats.
-        for text in ("0:1:9.99e-7", "0:1:1e-12", "0:1:1e-300", "0:1:1e-400"):
+        # builds a list; 0:1:1e-12 would be 1e12 floats. The count stays a
+        # Decimal: as an int, 0:1:1e-999999 took ~40 s to reject.
+        for text in ("0:1:9.99e-7", "0:1:1e-12", "0:1:1e-300", "0:1:1e-400", "0:1:1e-999999"):
             with pytest.raises(argparse.ArgumentTypeError, match="more than 1000001") as exc:
                 _parse_grid(text)
             assert len(str(exc.value)) < 100  # not the raw count, 401 digits at 1e-400
@@ -276,8 +277,14 @@ class TestErrorContract:
             (("--q", "0.2,0.1", "--mu", "0.5", "capacity"), "expected 4 comma-separated"),
             (("--mu-grid", "0:1:1e-7", "sweep"), "grid has more than 1000001 points"),
             (("--mu", "0.5", "--restarts", "1.5", "verify"), "invalid int value: '1.5'"),
+            # exponents past Decimal's range overflow the point count
+            (("--mu-grid", "0:1:1e-999999999", "sweep"), "grid out of range"),
+            (("--mu-grid", "0:1e999999999:1", "sweep"), "grid out of range"),
         ],
-        ids=["mu-abc", "q-two-values", "grid-over-bound", "restarts-float"],
+        ids=[
+            "mu-abc", "q-two-values", "grid-over-bound", "restarts-float",
+            "grid-tiny-step", "grid-huge-end",
+        ],
     )
     def test_bad_flag(self, argv, message):
         argv = argv if "--q" in argv else ("--q", "0.2,0.1,0.3,0.4", *argv)
@@ -290,6 +297,7 @@ class TestErrorContract:
         [
             (("--mu", "0.5", "--seed", "-1"), "seed must be nonnegative"),
             (("--mu-grid", "0:1.5:0.5"), "mu outside [0, 1]: 1.5"),
+            (("--mu", "0.5", "--grid-points", "5"), "grid_points_per_angle above 4"),
         ],
     )
     def test_bad_verify_input_runs_no_search(self, capsys, monkeypatch, argv, message):

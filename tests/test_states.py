@@ -20,7 +20,6 @@ from paulimem import (
     params_from_states,
     pauli_weights,
     product_optimal_state,
-    random_pure_params,
     state_vector,
     state_vectors,
     weights_to_density,
@@ -244,13 +243,10 @@ class TestOptimalFamilies:
 
 
 class TestRandomParams:
-    def test_deterministic(self):
-        assert random_pure_params(1) == random_pure_params(1)
-        assert random_pure_params(1) != random_pure_params(2)
-
     def test_samples_satisfy_identities(self):
         for seed in range(300):
-            w = pauli_weights(density_matrix(state_vector(random_pure_params(seed))))
+            params = random_params(np.random.default_rng(seed))
+            w = pauli_weights(density_matrix(state_vector(params)))
             assert (w**2).sum() - 1.0 == pytest.approx(3.0, abs=1e-10)
             for j, k, n in ((1, 2, 3), (1, 3, 2), (2, 3, 1)):
                 assert w[j, j] ** 2 + w[k, k] ** 2 - w[n, n] ** 2 <= 1.0 + 1e-10
