@@ -51,15 +51,16 @@ def _parse_grid(text: str) -> list[float]:
     if start > end:
         raise argparse.ArgumentTypeError("grid start exceeds end")
     # Endpoints inclusive within half a step. An exponent past Decimal's range
-    # (0:1:1e-999999999) overflows here. The bound is checked on the Decimal:
+    # overflows in the count (0:1:1e-999999999) or in the values themselves
+    # (1e999999999:1e999999999:1). The bound is checked on the Decimal:
     # int() of a quotient near 1e999999 alone takes ~40 s.
     try:
         steps = (end - start) / step + Decimal("0.5")
+        if steps >= _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
+        return [float(min(start + k * step, end)) for k in range(int(steps) + 1)]
     except DecimalException:
         raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
-    if steps >= _MAX_GRID_POINTS:
-        raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
-    return [float(min(start + k * step, end)) for k in range(int(steps) + 1)]
 
 
 class _Parser(argparse.ArgumentParser):

@@ -280,10 +280,13 @@ class TestErrorContract:
             # exponents past Decimal's range overflow the point count
             (("--mu-grid", "0:1:1e-999999999", "sweep"), "grid out of range"),
             (("--mu-grid", "0:1e999999999:1", "sweep"), "grid out of range"),
+            # ... and so do grid values past it, when the list is built
+            (("--mu-grid", "1e999999999:1e999999999:1", "sweep"), "grid out of range"),
+            (("--mu-grid", "1e999999999:1e999999999:1e999999999", "sweep"), "grid out of range"),
         ],
         ids=[
             "mu-abc", "q-two-values", "grid-over-bound", "restarts-float",
-            "grid-tiny-step", "grid-huge-end",
+            "grid-tiny-step", "grid-huge-end", "grid-huge-value", "grid-huge-all",
         ],
     )
     def test_bad_flag(self, argv, message):
@@ -298,6 +301,11 @@ class TestErrorContract:
             (("--mu", "0.5", "--seed", "-1"), "seed must be nonnegative"),
             (("--mu-grid", "0:1.5:0.5"), "mu outside [0, 1]: 1.5"),
             (("--mu", "0.5", "--grid-points", "5"), "grid_points_per_angle above 4"),
+            (("--mu", "0.5", "--grid-points", "10"), "grid_points_per_angle above 4"),
+            (("--mu", "0.5", "--grid-points", "10" * 6), "grid_points_per_angle above 4"),
+            (("--mu", "0.5", "--grid-points", "0"), "grid_points_per_angle must be positive"),
+            (("--mu", "0.5", "--restarts", "0"), "restarts must be positive"),
+            (("--mu", "0.5", "--restarts", "1001"), "restarts above 1000"),
         ],
     )
     def test_bad_verify_input_runs_no_search(self, capsys, monkeypatch, argv, message):

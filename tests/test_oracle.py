@@ -400,7 +400,7 @@ class TestBruteForce:
         assert res.evaluations - SearchConfig().grid_points_per_angle ** 6 < 3000
         assert res.budget_exceeded is False
 
-    @pytest.mark.parametrize("g", [3, 4])
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
     def test_grid_matches_meshgrid(self, g):
         # the documented layout, which the benchmark's layer pass rebuilds
         axes = [np.linspace(0.0, np.pi, g)]
@@ -563,6 +563,19 @@ def test_default_search_reaches_the_hard_set_minimum(seed):
     misses = []
     for label, ch in _hard_set():
         res = min_entropy_bruteforce(ch, SearchConfig(seed=seed))
+        if res.gap_to_analytic > 1e-9 or res.budget_exceeded:
+            misses.append((label, res.gap_to_analytic, res.budget_exceeded))
+    assert misses == []
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("g", [1, 4])
+def test_each_grid_size_reaches_the_hard_set_minimum(g, seed):
+    # The Haar starts find the minimum whatever the grid adds, from a single
+    # cell to the cap of 4,096.
+    misses = []
+    for label, ch in _hard_set():
+        res = min_entropy_bruteforce(ch, SearchConfig(grid_points_per_angle=g, seed=seed))
         if res.gap_to_analytic > 1e-9 or res.budget_exceeded:
             misses.append((label, res.gap_to_analytic, res.budget_exceeded))
     assert misses == []
