@@ -24,6 +24,10 @@ from .pauli import PAULI2
 _SPECTRUM_TOL = 1e-9
 _TIE_TOL = 1e-12
 _ENSEMBLE_ENTROPY_TOL = 1e-10
+# Rows per block of a sweep's entropies and of its CSV and JSON text: large
+# enough that numpy's per-call cost is spread thin, small enough that a
+# block's temporaries, Python floats and text stay a few MB.
+_BLOCK_ROWS = 8192
 
 SWEEP_CSV_HEADER = "mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4"
 # Every CSV number, in format_number and in the sweep's CSV row template.
@@ -308,14 +312,19 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
 
     The grid is checked as a whole first: the first value outside [0, 1]
     (NaN and infinities included) raises OutOfRange, as PauliChannel would.
-    The curve is then one array pass over the eps_kk columns; eps, the
-    ordering and the thresholds are computed once.
+    The spectra are then one array pass over the eps_kk columns, and their
+    entropies are taken _BLOCK_ROWS rows at a time; eps, the ordering and
+    the thresholds are computed once.
     """
     mu = _checked_mu_grid(channel_base, mu_grid).copy()  # the curve owns, and freezes, its grid
     eps, order, th = _capacity_inputs(channel_base)
     l = order[0]
     lam = _branch_spectra(_eps_diagonal(eps, mu), l, eps[l])
-    return CapacityCurve(mu, lam, _entropies(lam), l, th)
+    # Whole, each temporary of _entropies would be 64 MB at the 10^6-point grid bound.
+    ent = np.empty(lam.shape[:-1])
+    for i in range(0, len(mu), _BLOCK_ROWS):
+        ent[i:i + _BLOCK_ROWS] = _entropies(lam[i:i + _BLOCK_ROWS])
+    return CapacityCurve(mu, lam, ent, l, th)
 
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> np.ndarray:
@@ -355,32 +364,64 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
     return deviation
 
 
-def _table(curve: CapacityCurve) -> np.ndarray:
-    """The writers' input: one row (mu, c2, entropy_product, entropy_bell,
-    *lambdas_product, *lambdas_bell) per entry of the curve, shape (N, 12)."""
+# The writers' regime codes, which index _REGIMES and _REGIME_NAMES.
+_REGIMES = (Regime.PRODUCT, Regime.ENTANGLED, Regime.TIE)
+_PRODUCT, _ENTANGLED, _TIE = range(3)
+_REGIME_NAMES = np.array([r.value for r in _REGIMES], dtype=object)
+
+
+def _regime_codes(s_p: np.ndarray, s_b: np.ndarray) -> np.ndarray:
+    """_regime elementwise over two entropy columns, as regime codes."""
+    return np.where(abs(s_p - s_b) < _TIE_TOL, _TIE, np.where(s_p < s_b, _PRODUCT, _ENTANGLED))
+
+
+def _parts(curve: CapacityCurve) -> list:
+    """The curve in slices of up to _BLOCK_ROWS entries; anything but a curve raises TypeError."""
     if not isinstance(curve, CapacityCurve):
         raise TypeError(f"expected a CapacityCurve, got {type(curve).__name__}")
-    c2 = 1.0 - curve.entropies.min(axis=1) / 2.0
-    spectra = curve.spectra.reshape(len(curve), 8)
-    return np.column_stack((curve.mu, c2, curve.entropies, spectra))
+    return [curve[i:i + _BLOCK_ROWS] for i in range(0, len(curve), _BLOCK_ROWS)]
 
 
-_CSV_ROW = ",".join(["%" + _NUMBER_SPEC, "%s"] + ["%" + _NUMBER_SPEC] * 7)
+def _table(part: CapacityCurve) -> tuple[np.ndarray, np.ndarray]:
+    """Regime codes and rows (mu, c2, entropy_product, entropy_bell,
+    *lambdas_product, *lambdas_bell) of a curve, shapes (N,) and (N, 12)."""
+    s = part.entropies
+    c2 = 1.0 - s.min(axis=1) / 2.0
+    rows = np.column_stack((part.mu, c2, s, part.spectra.reshape(len(part), 8)))
+    return _regime_codes(s[:, 0], s[:, 1]), rows
+
+
+_CSV_ROW = ",".join(["%" + _NUMBER_SPEC, "%s"] + ["%" + _NUMBER_SPEC] * 7) + "\n"
+
+
+def sweep_csv_blocks(curve: CapacityCurve):
+    """sweep_to_csv's text in pieces: the header line, then up to _BLOCK_ROWS rows at a time.
+
+    Each block is one % over the row template repeated once per row, filled
+    from an object array of Python floats and regime names; l1..l4 come from
+    the Bell spectrum where the regime is ENTANGLED, else the product one.
+    """
+    parts = _parts(curve)
+    yield SWEEP_CSV_HEADER + "\n"
+    for part in parts:
+        codes, rows = _table(part)
+        rows += 0.0  # normalizes -0.0, as in format_number
+        cells = np.empty((len(rows), 9), dtype=object)
+        cells[:, 0] = rows[:, 0]
+        cells[:, 1] = _REGIME_NAMES[codes]
+        cells[:, 2:5] = rows[:, 1:4]
+        cells[:, 5:] = np.where((codes == _ENTANGLED)[:, None], rows[:, 8:], rows[:, 4:8])
+        yield _CSV_ROW * len(rows) % tuple(cells.ravel().tolist())
 
 
 def sweep_to_csv(curve: CapacityCurve) -> str:
     """Fixed-schema CSV of a curve; l1..l4 hold the winning branch spectrum.
 
     Byte-identical to csv_text(SWEEP_CSV_HEADER, ...) over each entry's mu,
-    regime, c2, both entropies and winning_spectrum().
+    regime, c2, both entropies and winning_spectrum(). The text is the join
+    of sweep_csv_blocks, which the CLI writes block by block instead.
     """
-    table = _table(curve)
-    lines = [SWEEP_CSV_HEADER]
-    for row in (table + 0.0).tolist():  # + 0.0 normalizes -0.0, as in format_number
-        regime = _regime(row[2], row[3])
-        lam = row[8:] if regime is Regime.ENTANGLED else row[4:8]
-        lines.append(_CSV_ROW % (row[0], regime.value, row[1], row[2], row[3], *lam))
-    return "\n".join(lines) + "\n"
+    return "".join(sweep_csv_blocks(curve))
 
 
 # One element of json_text([r.to_dict() for r in results]) up to its
@@ -414,24 +455,42 @@ def _json_tail(r: CapacityResult) -> str:
     return json_text([tail])[len("[\n  {\n"):-len("\n]\n")]
 
 
+def sweep_json_blocks(curve: CapacityCurve):
+    """sweep_to_json's text in pieces of up to _BLOCK_ROWS elements, then the closing bracket.
+
+    Each block is one % over the element template repeated once per row,
+    filled from an object array of Python floats, regime names and tails.
+    The tail (thresholds, NaN as null, and the descriptor) depends only on
+    the regime, so it is rendered through to_dict and json_text once per
+    regime of the curve, at that regime's first entry.
+    """
+    parts = _parts(curve)
+    if not parts:
+        yield json_text([])
+        return
+    tails = np.empty(len(_REGIMES), dtype=object)
+    opening = "[\n"
+    for part in parts:
+        codes, rows = _table(part)
+        for code in np.unique(codes).tolist():
+            if tails[code] is None:
+                tails[code] = _json_tail(part[int(np.argmax(codes == code))])
+        cells = np.empty((len(rows), 14), dtype=object)
+        cells[:, 0] = rows[:, 0]
+        cells[:, 1] = _REGIME_NAMES[codes]
+        cells[:, 2:13] = rows[:, 1:]
+        cells[:, 13] = tails[codes]
+        yield opening + ",\n".join([_JSON_ROW] * len(rows)) % tuple(cells.ravel().tolist())
+        opening = ",\n"
+    yield "\n]\n"
+
+
 def sweep_to_json(curve: CapacityCurve) -> str:
     """JSON array of the curve's entries as full CapacityResult objects (double precision).
 
     Byte-identical to json_text([r.to_dict() for r in curve]), which indent=2
-    confines to the pure-Python encoder. Each element is instead filled into
-    one row template, every value through float.__repr__ (%r) as in json. The
-    tail (thresholds, NaN as null, and the descriptor) depends only on the
-    regime, so it is rendered through to_dict and json_text once per regime.
+    confines to the pure-Python encoder. Every value goes through
+    float.__repr__ (%r), as in json. The text is the join of
+    sweep_json_blocks, which the CLI writes block by block instead.
     """
-    table = _table(curve)
-    if not len(table):
-        return json_text([])
-    tails = {}
-    rows = []
-    for i, row in enumerate(table.tolist()):
-        regime = _regime(row[2], row[3])
-        tail = tails.get(regime)
-        if tail is None:
-            tail = tails[regime] = _json_tail(curve[i])
-        rows.append(_JSON_ROW % (row[0], regime.value, *row[1:], tail))
-    return "[\n" + ",\n".join(rows) + "\n]\n"
+    return "".join(sweep_json_blocks(curve))

@@ -9,12 +9,20 @@ codes are 0 (success), 1 (verification finding), 2 (usage or input error).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import errno
 import json
+import os
+import stat
 import sys
+import tempfile
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
 
-from .capacity import capacity_sweep, csv_text, json_float, json_text, sweep_to_csv, sweep_to_json
+import numpy as np
+
+from .capacity import capacity_sweep, csv_text, json_float, json_text
+from .capacity import sweep_csv_blocks, sweep_json_blocks
 from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
 from .errors import PauliMemError
 from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimality_grid
@@ -22,6 +30,8 @@ from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimali
 
 # Largest --mu-grid, checked from START:END:STEP before the list is built.
 _MAX_GRID_POINTS = 1_000_001
+# Integers below this are exact in float64.
+_EXACT_INT = 2**53
 
 
 def _parse_q(text: str) -> tuple[float, ...]:
@@ -58,9 +68,27 @@ def _parse_grid(text: str) -> list[float]:
         steps = (end - start) / step + Decimal("0.5")
         if steps >= _MAX_GRID_POINTS:
             raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
-        return [float(min(start + k * step, end)) for k in range(int(steps) + 1)]
+        return _grid_values(start, end, step, int(steps))
     except DecimalException:
         raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
+
+
+def _grid_values(start: Decimal, end: Decimal, step: Decimal, n: int) -> list[float]:
+    """float(min(start + k step, end)) for k = 0..n, each correctly rounded.
+
+    With d decimals, value k is the integer S + k T, clamped to E, over 10^d.
+    While those integers and 10^d are below 2^53, float64 holds them exactly
+    and its division rounds correctly, so one array division equals the
+    Decimal loop; past that, the loop runs.
+    """
+    d = max(0, -min(x.as_tuple().exponent for x in (start, end, step)))
+    last = start + n * step
+    if d < 16 and max(abs(start), abs(end), step, abs(last)) * 10**d < _EXACT_INT:
+        scale = 10**d
+        s, e, t = (int(x * scale) for x in (start, end, step))
+        k = np.arange(n + 1, dtype=np.int64)
+        return (np.minimum(s + t * k, e) / scale).tolist()
+    return [float(min(start + k * step, end)) for k in range(n + 1)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -133,11 +161,11 @@ def _cmd_params(args) -> tuple[str, int]:
             "eps_matrix": cp.eps2.tolist(),
             "ordering": list(cp.ordering),
         }
-        return json_text(payload), 0
+        return [json_text(payload)], 0
     pairs = [(f"eps_{n}", cp.eps[n]) for n in range(4)]
     pairs += [(f"eps_{n}{k}", cp.eps2[n, k]) for n in range(4) for k in range(4)]
     pairs += zip(("ordering_l", "ordering_m", "ordering_s"), cp.ordering)
-    return csv_text("key,value", pairs), 0
+    return [csv_text("key,value", pairs)], 0
 
 
 def _cmd_thresholds(args) -> tuple[str, int]:
@@ -146,16 +174,16 @@ def _cmd_thresholds(args) -> tuple[str, int]:
     pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
         payload = {k: v if isinstance(v, bool) else json_float(v) for k, v in pairs}
-        return json_text(payload), 0
-    return csv_text("key,value", pairs), 0
+        return [json_text(payload)], 0
+    return [csv_text("key,value", pairs)], 0
 
 
 def _cmd_capacity(args) -> tuple[str, int]:
     channel = _load_channel(args)
     results = capacity_sweep(channel, [channel.mu])
     if args.format == "json":
-        return json_text(results[0].to_dict()), 0
-    return sweep_to_csv(results), 0
+        return [json_text(results[0].to_dict())], 0
+    return sweep_csv_blocks(results), 0
 
 
 def _cmd_sweep(args) -> tuple[str, int]:
@@ -164,8 +192,8 @@ def _cmd_sweep(args) -> tuple[str, int]:
     channel = _load_channel(args, default_mu=0.0)  # grid values replace mu
     results = capacity_sweep(channel, args.mu_grid)
     if args.format == "json":
-        return sweep_to_json(results), 0
-    return sweep_to_csv(results), 0
+        return sweep_json_blocks(results), 0
+    return sweep_csv_blocks(results), 0
 
 
 def _cmd_verify(args) -> tuple[str, int]:
@@ -182,9 +210,10 @@ def _cmd_verify(args) -> tuple[str, int]:
         print("warning: refinement budget exceeded; results are best-so-far",
               file=sys.stderr)
     text = report_to_json(report) if args.format == "json" else report_to_csv(report)
-    return text, 1 if report.any_flag else 0
+    return [text], 1 if report.any_flag else 0
 
 
+# Each command returns its output as an iterable of text blocks, and its exit code.
 _DISPATCH = {
     "params": _cmd_params,
     "thresholds": _cmd_thresholds,
@@ -194,22 +223,66 @@ _DISPATCH = {
 }
 
 
-def _write_out(path: str, text: str) -> None:
+def _write_blocks(fh, blocks) -> None:
+    for block in blocks:
+        fh.write(block)
+
+
+def _new_file_mode() -> int:
+    """The mode open(path, "w") gives a new file: 0o666 less the umask.
+
+    The umask can only be read by setting it, so it is 0 for two calls; the
+    CLI runs no other thread that could create a file meanwhile.
+    """
+    umask = os.umask(0)
+    os.umask(umask)
+    return 0o666 & ~umask
+
+
+def _write_out(path: str, blocks) -> None:
+    """Write the blocks to path as they come; path changes only once all are written.
+
+    The blocks go to a temporary file beside path's target (symlinks
+    resolved), which is renamed onto it at the end and removed on any
+    failure. The file gets the mode open(path, "w") would give it. A path
+    that exists but is not a regular file (/dev/null, a pipe) cannot be
+    renamed onto, so it is written in place.
+    """
+    if not os.path.basename(path):  # "" or "dir/": open() would refuse it too
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise PauliMemError(f"cannot write output: {exc}") from None
+            _write_blocks(fh, blocks)
+        return
+    target = os.path.realpath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".paulimem-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            _write_blocks(fh, blocks)
+        os.chmod(tmp, _new_file_mode() if mode is None else stat.S_IMODE(mode))
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        text, code = _DISPATCH[args.command](args)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            _write_out(args.out, text)
+        blocks, code = _DISPATCH[args.command](args)
+        try:
+            if args.out is None:
+                _write_blocks(sys.stdout, blocks)
+            else:
+                _write_out(args.out, blocks)
+        except OSError as exc:
+            where = "stdout" if args.out is None else args.out
+            raise PauliMemError(f"cannot write output: {where}: {exc.strerror or exc}") from None
     except PauliMemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

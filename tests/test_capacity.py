@@ -35,7 +35,17 @@ from paulimem import (
 )
 from paulimem import capacity as capacity_module
 from paulimem import channel as channel_module
-from paulimem.capacity import SWEEP_CSV_HEADER, csv_text, json_text
+from paulimem.capacity import (
+    _BLOCK_ROWS,
+    _REGIMES,
+    SWEEP_CSV_HEADER,
+    _regime,
+    _regime_codes,
+    csv_text,
+    json_text,
+    sweep_csv_blocks,
+    sweep_json_blocks,
+)
 from paulimem.cli import _parse_grid
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
@@ -623,3 +633,70 @@ def test_writers_reject_a_list():
     for writer in (sweep_to_csv, sweep_to_json):
         with pytest.raises(TypeError, match="expected a CapacityCurve, got list"):
             writer(results)
+
+
+def test_regime_codes_agree_with_regime():
+    # The writers' array rule against the scalar one: around the 1e-12 tie
+    # bound (an exact difference of +-1e-12 is not a tie, one ulp inside it
+    # is), at equal entropies and at signed zeros, in both argument orders.
+    tol = capacity_module._TIE_TOL
+    diffs = []
+    for d in (tol, -tol):
+        diffs += [d, np.nextafter(d, 0.0), np.nextafter(d, 2 * d)]
+    pairs = [(d, 0.0) for d in diffs] + [(d, -0.0) for d in diffs]
+    for base in (0.5, 1.0, 1.75):
+        pairs += [(base, base), (base + tol, base), (base, np.nextafter(base, 2.0))]
+    pairs += [(0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0), (0.0, 0.0), (np.nan, 1.0)]
+    pairs += [(b, a) for a, b in pairs]
+    s_p, s_b = np.array(pairs).T
+    got = [_REGIMES[c] for c in _regime_codes(s_p, s_b).tolist()]
+    assert got == [_regime(a, b) for a, b in pairs]
+    assert got[:6] == [Regime.ENTANGLED, Regime.TIE, Regime.ENTANGLED,
+                       Regime.PRODUCT, Regime.TIE, Regime.PRODUCT]
+    assert set(got) == set(Regime)
+
+
+def _regime_switch_curve(n):
+    """n entries of the depolarizing channel p = 0.25: product rows, a TIE at
+    mu_star as the last row of the first block (or the second-to-last row),
+    then entangled rows."""
+    base = depolarizing(0.25, 0.0)
+    mu_star = capacity_two_use(base).mu_star
+    tie_at = min(_BLOCK_ROWS, n - 1) - 1
+    grid = [*np.linspace(0.0, mu_star - 1e-6, tie_at), mu_star,
+            *np.linspace(mu_star + 1e-6, 1.0, n - tie_at - 1)]
+    curve = capacity_sweep(base, grid)
+    assert [r.regime for r in curve[tie_at - 1:tie_at + 2]] == [
+        Regime.PRODUCT, Regime.TIE, Regime.ENTANGLED]
+    return curve
+
+
+class TestSweepBlocks:
+    """The writers render up to _BLOCK_ROWS rows per block; the joined text
+    must not show where the blocks were cut."""
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
+    def test_regime_switch_at_a_block_boundary(self, n):
+        curve = _regime_switch_curve(n)
+        blocks = -(-n // _BLOCK_ROWS)
+        csv_blocks = list(sweep_csv_blocks(curve))
+        json_blocks = list(sweep_json_blocks(curve))
+        assert len(csv_blocks) == len(json_blocks) == blocks + 1
+        assert "".join(csv_blocks) == sweep_to_csv(curve) == reference_csv(curve)
+        assert "".join(json_blocks) == sweep_to_json(curve) == reference_json(curve)
+        # capacity_sweep computes the entropies in blocks of the same size
+        assert np.array_equal(curve.entropies, capacity_module._entropies(curve.spectra))
+
+    def test_nan_threshold_across_blocks(self):
+        curve = _regime_switch_curve(_BLOCK_ROWS + 1)
+        no_star = dataclasses.replace(
+            curve, thresholds=dataclasses.replace(curve.thresholds, mu_star=float("nan"))
+        )
+        assert sweep_to_csv(no_star) == reference_csv(no_star)
+        assert sweep_to_json(no_star) == reference_json(no_star)
+
+    def test_empty_curve_is_one_block(self):
+        empty = capacity_sweep(depolarizing(0.25, 0.0), [])
+        assert list(sweep_csv_blocks(empty)) == [SWEEP_CSV_HEADER + "\n"]
+        assert list(sweep_json_blocks(empty)) == ["[]\n"]

@@ -1,8 +1,17 @@
 import argparse
+import errno
+import hashlib
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
+import types
+from decimal import Decimal
 
+import numpy as np
 import pytest
 
 from paulimem import cli, oracle
@@ -123,6 +132,28 @@ class TestCapacityAndSweep:
         assert _parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
         assert _parse_grid("0:1:0.6") == [0.0, 0.6, 1.0]  # end kept within half a step
 
+    def test_grid_values_equal_the_decimal_loop(self):
+        # Below 2^53 the grid is one integer array division; past it, a
+        # Decimal loop. Both must give float(min(start + k step, end)).
+        texts = ["0:1:0.1", "0:1:0.3", "0:1:0.6", "-0:0:1", "-0.0:1:0.25", "0.1:0.95:0.2",
+                 "1e-3:2e-2:1E-3", "1E+2:1E+3:5E+1", "0.10:0.9:0.10", "-1.5:1.5:0.7"]
+        for d in range(18):  # integers that end below, at and past 2^53
+            for first in (2**53 - 60, 2**53 - 21, 2**53 - 1, 2**53 + 3):
+                start, end = (Decimal(x).scaleb(-d) for x in (first, first + 20))
+                texts.append(f"{start}:{end}:{Decimal(3).scaleb(-d)}")
+        rng = np.random.default_rng(53)
+        for _ in range(400):
+            d = int(rng.integers(0, 19))
+            start = Decimal(int(rng.integers(-10**6, 10**9))).scaleb(-d)
+            step = Decimal(int(rng.integers(1, 10**4))).scaleb(-int(rng.integers(0, 19)))
+            end = start + step * (int(rng.integers(0, 6000)) * Decimal("0.01"))
+            texts.append(f"{start}:{end}:{step}")
+        for text in texts:
+            start, end, step = (Decimal(p) for p in text.split(":"))
+            n = int((end - start) / step + Decimal("0.5"))
+            want = [float(min(start + k * step, end)) for k in range(n + 1)]
+            assert [x.hex() for x in _parse_grid(text)] == [x.hex() for x in want], text
+
     def test_grid_size_bound_checked_before_building(self, monkeypatch):
         # Only the count is computed before the check, so none of these
         # builds a list; 0:1:1e-12 would be 1e12 floats. The count stays a
@@ -167,6 +198,131 @@ class TestCapacityAndSweep:
         assert code == 0
         assert out == ""
         assert target.read_text(encoding="utf-8").startswith("mu,regime,")
+
+
+class _SecondWriteFails:
+    """A text stream whose second write raises OSError, as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.writes = 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.writes += 1
+        if self.writes == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self.fh.write(text)
+
+
+class TestStreamedOutput:
+    """sweep writes its text block by block; --out is replaced only once all is written."""
+
+    # 10,001 rows: the header, then two blocks of rows.
+    ARGV = ("--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0:1:0.0001", "sweep")
+
+    def _fail_second_file_write(self, monkeypatch):
+        real_fdopen = os.fdopen
+        monkeypatch.setattr(cli.os, "fdopen", lambda *a, **k: _SecondWriteFails(real_fdopen(*a, **k)))
+
+    def _assert_write_error(self, code, err):
+        assert code == 2
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: cannot write output: ")
+        assert "No space left on device" in lines[0]
+
+    def test_sweep_is_written_block_by_block(self, monkeypatch):
+        # CSV: the header and two blocks; JSON: two blocks and the closing bracket.
+        for fmt in ("csv", "json"):
+            writes = []
+            monkeypatch.setattr(sys, "stdout", types.SimpleNamespace(write=writes.append))
+            assert main([*self.ARGV, "--format", fmt]) == 0
+            assert len(writes) == 3
+
+    def test_failed_stdout_write(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", _SecondWriteFails(io.StringIO()))
+        code, _, err = run_cli(capsys, *self.ARGV)
+        self._assert_write_error(code, err)
+
+    def test_failed_write_leaves_no_new_file(self, capsys, monkeypatch, tmp_path):
+        self._fail_second_file_write(monkeypatch)
+        code, out, err = run_cli(capsys, *self.ARGV, "--out", str(tmp_path / "sweep.csv"))
+        self._assert_write_error(code, err)
+        assert out == ""
+        assert os.listdir(tmp_path) == []
+
+    def test_failed_write_keeps_the_old_file(self, capsys, monkeypatch, tmp_path):
+        target = tmp_path / "sweep.json"
+        target.write_bytes(b"old bytes\n")
+        self._fail_second_file_write(monkeypatch)
+        code, _, err = run_cli(capsys, *self.ARGV, "--format", "json", "--out", str(target))
+        self._assert_write_error(code, err)
+        assert os.listdir(tmp_path) == ["sweep.json"]
+        assert target.read_bytes() == b"old bytes\n"
+
+    def test_file_modes_are_those_open_gives(self, capsys, tmp_path):
+        # A new file gets 0o666 less the umask; an existing one keeps its mode.
+        created, existing = tmp_path / "new.csv", tmp_path / "old.csv"
+        existing.write_text("old")
+        existing.chmod(0o604)
+        old_umask = os.umask(0o027)
+        try:
+            for target in (created, existing):
+                code, _, _ = run_cli(capsys, *self.ARGV, "--out", str(target))
+                assert code == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(created.stat().st_mode) == 0o666 & ~0o027
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o604
+        assert existing.read_bytes() == created.read_bytes()
+
+    def test_symlinked_out_is_written_through(self, capsys, tmp_path):
+        real = tmp_path / "data" / "sweep.csv"
+        real.parent.mkdir()
+        link = tmp_path / "link.csv"
+        link.symlink_to(real)
+        code, _, _ = run_cli(capsys, *self.ARGV, "--out", str(link))
+        assert code == 0
+        assert link.is_symlink()
+        assert os.listdir(real.parent) == ["sweep.csv"]
+        assert real.read_text(encoding="utf-8").startswith("mu,regime,")
+
+    def test_out_without_a_file_name(self, capsys, tmp_path):
+        for path in (f"{tmp_path / 'new'}/", ""):
+            code, _, err = run_cli(capsys, *self.ARGV, "--out", path)
+            assert code == 2 and err.startswith("error: cannot write output: ")
+        assert os.listdir(tmp_path) == []
+
+    def test_fifo_out_is_written_in_place(self, capsys, tmp_path):
+        # What is not a regular file (a pipe, /dev/null) cannot be renamed onto.
+        fifo = tmp_path / "sweep.fifo"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run_cli(capsys, *self.ARGV, "--out", str(fifo))
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got[0].startswith(b"mu,regime,") and got[0].count(b"\n") == 10_002
+
+    # The digests of the parent of the block writers. The JSON digest holds
+    # where numpy's log2 rounds the last ulp as numpy 2.4 on x86-64 does.
+    @pytest.mark.parametrize("fmt, digest", [
+        ("csv", "4f5ff7d55593a5a90332d7de543f39ca1fcfef7cc8ef9c53da08eeb530154699"),
+        ("json", "580e56c8cc737c2bdb3d8a336501b7050590a6c667d7a5692f949c99652a41b8"),
+    ])
+    def test_large_sweep_digest_pinned(self, capsys, tmp_path, fmt, digest):
+        target = tmp_path / f"sweep.{fmt}"
+        argv = ("--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0:1:0.00001", "--format", fmt, "sweep")
+        assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+        assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
 
 
 class TestConfigFile:
