@@ -273,12 +273,12 @@ def _config_number(value, key: str) -> float:
 
 
 def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
-    """Build a channel from a configuration mapping.
+    """Build a channel from a configuration mapping, the form the CLI gives all channel input.
 
     Two layouts are accepted: {"q": [q0, q1, q2, q3], "mu": m} or
-    {"family": <a FAMILIES name>, "p": x, "mu": m}. An explicit mu argument
-    overrides the one in the mapping. Any malformed value raises OutOfRange
-    naming its key.
+    {"family": <a FAMILIES name>, "p": x, "mu": m}, with no other key. An
+    explicit mu argument overrides the one in the mapping. A missing,
+    stray or malformed key raises OutOfRange naming it.
     """
     if not isinstance(cfg, dict):
         raise OutOfRange("channel config must be a JSON object")
@@ -289,6 +289,11 @@ def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
     mu = _config_number(mu, "mu")
     if ("q" in cfg) == ("family" in cfg):
         raise OutOfRange("channel config needs exactly one of 'q' or 'family'")
+    keys = ("q", "mu") if "q" in cfg else ("family", "p", "mu")
+    stray = [k for k in cfg if k not in keys]
+    if stray:
+        allowed = ", ".join(map(repr, keys))
+        raise OutOfRange(f"channel config key {stray[0]!r} is not one of {allowed}")
     if "q" in cfg:
         q = cfg["q"]
         if not isinstance(q, (list, tuple)) or len(q) != 4:

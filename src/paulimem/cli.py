@@ -28,7 +28,7 @@ from .errors import PauliMemError
 from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimality_grid
 
 
-# Largest --mu-grid, checked from START:END:STEP before the list is built.
+# Largest --mu-grid, checked from START:END:STEP before the grid is built.
 _MAX_GRID_POINTS = 1_000_001
 # Integers below this are exact in float64.
 _EXACT_INT = 2**53
@@ -44,7 +44,7 @@ def _parse_q(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_grid(text: str) -> list[float]:
+def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:END:STEP")
@@ -73,7 +73,7 @@ def _parse_grid(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
 
 
-def _grid_values(start: Decimal, end: Decimal, step: Decimal, n: int) -> list[float]:
+def _grid_values(start: Decimal, end: Decimal, step: Decimal, n: int) -> np.ndarray:
     """float(min(start + k step, end)) for k = 0..n, each correctly rounded.
 
     With d decimals, value k is the integer S + k T, clamped to E, over 10^d.
@@ -87,8 +87,8 @@ def _grid_values(start: Decimal, end: Decimal, step: Decimal, n: int) -> list[fl
         scale = 10**d
         s, e, t = (int(x * scale) for x in (start, end, step))
         k = np.arange(n + 1, dtype=np.int64)
-        return (np.minimum(s + t * k, e) / scale).tolist()
-    return [float(min(start + k * step, end)) for k in range(n + 1)]
+        return np.minimum(s + t * k, e) / scale
+    return np.array([float(min(start + k * step, end)) for k in range(n + 1)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
-    """Build the channel from flags or config; mu from --mu, else the file, else default_mu."""
+    """Build the channel with channel_from_config from the --config file, or from the
+    flags as the same mapping: {"q": ...} or {"family": ..., "p": ...}. mu is --mu,
+    else the mapping's "mu", else default_mu."""
+    if args.p is not None and args.family is None:
+        raise PauliMemError("--p is read only with --family")
     if args.config is not None:
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -135,19 +139,17 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
             raise PauliMemError(f"cannot read config: {exc}") from None
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise PauliMemError(f"malformed config: {exc}") from None
-        if args.mu is None and isinstance(cfg, dict):
-            return channel_from_config(cfg, mu=cfg.get("mu", default_mu))
-        return channel_from_config(cfg, mu=args.mu)
-    mu = args.mu if args.mu is not None else default_mu
-    if mu is None:
-        raise PauliMemError("this command needs --mu")
-    if args.q is not None:
-        return PauliChannel(args.q, mu)
-    if args.family is not None:
-        if args.p is None:
-            raise PauliMemError("--family requires --p")
-        return FAMILIES[args.family](args.p, mu)
-    raise PauliMemError("no channel given: use --q, --family or --config")
+    else:
+        flags = {"q": args.q, "family": args.family, "p": args.p}
+        cfg = {key: value for key, value in flags.items() if value is not None}
+        if not cfg:
+            raise PauliMemError("no channel given: use --q, --family or --config")
+    mu = args.mu
+    if mu is None and isinstance(cfg, dict) and "mu" not in cfg:
+        if default_mu is None:
+            raise PauliMemError("missing 'mu': this command needs --mu or a config with 'mu'")
+        mu = default_mu
+    return channel_from_config(cfg, mu)
 
 
 def _cmd_params(args) -> tuple[str, int]:

@@ -21,28 +21,17 @@ SIGMA = np.array(
 PAULI2 = np.array([[np.kron(SIGMA[n], SIGMA[k]) for k in range(4)] for n in range(4)])
 """PAULI2[n, k] = sigma_n tensor sigma_k as a 4x4 matrix."""
 
+_n = np.arange(4)
+
 # s[n, k] = +1 iff sigma_n and sigma_k commute (n == k, or either is the
 # identity), -1 otherwise; equivalently sigma_n sigma_k sigma_n = s[n, k] sigma_k.
-SIGN_TABLE = -np.ones((4, 4))
-SIGN_TABLE[0, :] = 1.0
-SIGN_TABLE[:, 0] = 1.0
-np.fill_diagonal(SIGN_TABLE, 1.0)
+SIGN_TABLE = np.where((_n[:, None] == 0) | (_n == 0) | (_n[:, None] == _n), 1.0, -1.0)
 
 # PRODUCT_INDEX[k, kp] = the index m with sigma_k sigma_kp proportional to
-# sigma_m: 0 on the diagonal, the non-identity factor when one index is 0,
-# and the remaining index of {1, 2, 3} otherwise.
-PRODUCT_INDEX = np.zeros((4, 4), dtype=np.intp)
-for _k in range(4):
-    for _kp in range(4):
-        if _k == _kp:
-            PRODUCT_INDEX[_k, _kp] = 0
-        elif _k == 0:
-            PRODUCT_INDEX[_k, _kp] = _kp
-        elif _kp == 0:
-            PRODUCT_INDEX[_k, _kp] = _k
-        else:
-            PRODUCT_INDEX[_k, _kp] = ({1, 2, 3} - {_k, _kp}).pop()
-del _k, _kp
+# sigma_m. Up to phase the indices multiply as two-bit words under XOR
+# (1 ^ 2 = 3: sigma_1 sigma_2 = i sigma_3).
+PRODUCT_INDEX = np.bitwise_xor.outer(_n, _n).astype(np.intp)
+del _n
 
 for _arr in (SIGMA, PAULI2, SIGN_TABLE, PRODUCT_INDEX):
     _arr.setflags(write=False)

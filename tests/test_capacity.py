@@ -376,7 +376,7 @@ class TestSweepGrid:
             for g in (grid, np.array(grid), [k / 10 for k in range(11)])
         ]
         for results in runs:
-            assert [r.mu for r in results] == grid
+            assert [r.mu for r in results] == grid.tolist()
             assert all(type(r.mu) is float and type(r.c2) is float for r in results)
             assert [r.to_dict() for r in results] == [r.to_dict() for r in runs[0]]
 

@@ -373,6 +373,21 @@ class TestConfig:
     @pytest.mark.parametrize(
         "cfg, key",
         [
+            ({"family": "mp", "p": 0.2, "mu": 0.3, "famly": 1}, "famly"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": 0.3, "p": 0.9}, "p"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": 0.3, "Q": [1, 0, 0, 0]}, "Q"),
+            ({"family": "depolarizing", "p": 0.1, "mu": 0.3, "seed": 1}, "seed"),
+        ],
+    )
+    def test_rejects_keys_it_does_not_read(self, cfg, key):
+        with pytest.raises(OutOfRange, match=f"key {key!r} is not one of"):
+            channel_from_config(cfg)
+        with pytest.raises(OutOfRange, match=f"key {key!r} is not one of"):
+            channel_from_config(cfg, mu=0.5)  # an explicit mu does not excuse it
+
+    @pytest.mark.parametrize(
+        "cfg, key",
+        [
             ({"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"}, "mu"),
             ({"family": "depolarizing", "p": "x", "mu": 0.3}, "p"),
             ({"q": [0.2, None, 0.3, 0.4], "mu": 0.5}, "q"),

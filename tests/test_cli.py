@@ -126,11 +126,11 @@ class TestCapacityAndSweep:
             assert exc.value.code == 2
 
     def test_grid_steps_land_on_decimal_values(self):
-        assert _parse_grid("0:1:0.1") == [k / 10 for k in range(11)]
-        assert _parse_grid("0:1:0.01") == [k / 100 for k in range(101)]
-        assert _parse_grid("0:1:0.125") == [k / 8 for k in range(9)]
-        assert _parse_grid("0:1:0.3") == [0.0, 0.3, 0.6, 0.9]
-        assert _parse_grid("0:1:0.6") == [0.0, 0.6, 1.0]  # end kept within half a step
+        assert _parse_grid("0:1:0.1").tolist() == [k / 10 for k in range(11)]
+        assert _parse_grid("0:1:0.01").tolist() == [k / 100 for k in range(101)]
+        assert _parse_grid("0:1:0.125").tolist() == [k / 8 for k in range(9)]
+        assert _parse_grid("0:1:0.3").tolist() == [0.0, 0.3, 0.6, 0.9]
+        assert _parse_grid("0:1:0.6").tolist() == [0.0, 0.6, 1.0]  # end kept within half a step
 
     def test_grid_values_equal_the_decimal_loop(self):
         # Below 2^53 the grid is one integer array division; past it, a
@@ -418,6 +418,41 @@ class TestErrorContract:
         path.write_text(json.dumps(cfg))
         self._assert_one_error_line(self._run("--config", str(path), "capacity"))
 
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({"family": "mp", "p": 0.2, "mu": 0.3, "famly": 1}, "key 'famly' is not one of"),
+            ({"q": [0.2, 0.1, 0.3, 0.4], "mu": 0.3, "p": 0.9}, "key 'p' is not one of"),
+        ],
+        ids=["unknown-key", "p-beside-q"],
+    )
+    def test_config_key_never_read(self, capsys, tmp_path, cfg, message):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "--config", str(path), "capacity")
+        self._assert_one_error_line(subprocess.CompletedProcess([], code, out, err))
+        assert message in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--q", "0.2,0.1,0.3,0.4", "--p", "0.3", "--mu", "0.5"), "--p is read only with"),
+            (("--config", "CFG", "--p", "0.3"), "--p is read only with --family"),
+            (("--p", "0.3", "--mu", "0.5"), "--p is read only with --family"),
+            (("--family", "mp", "--mu", "0.5"), "missing 'p'"),
+            (("--q", "0.2,0.1,0.3,0.4"), "missing 'mu': this command needs --mu or a config"),
+            (("--mu", "0.5"), "no channel given"),
+        ],
+        ids=["p-with-q", "p-with-config", "p-alone", "family-without-p", "no-mu", "no-channel"],
+    )
+    def test_channel_flags(self, capsys, tmp_path, argv, message):
+        path = tmp_path / "channel.json"
+        path.write_text(json.dumps({"family": "mp", "p": 0.2, "mu": 0.3}))
+        argv = [str(path) if a == "CFG" else a for a in argv]
+        code, out, err = run_cli(capsys, *argv, "capacity")
+        self._assert_one_error_line(subprocess.CompletedProcess(argv, code, out, err))
+        assert message in err
+
     def test_unwritable_out(self, tmp_path):
         target = tmp_path / "missing" / "sweep.csv"
         proc = self._run(
@@ -523,6 +558,18 @@ class TestVerify:
         code, _, err = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "verify")
         assert code == 2
         assert "--mu" in err
+
+    def test_budget_warning(self, capsys, monkeypatch):
+        monkeypatch.setattr(oracle, "_MAX_ITERS", 1)
+        code, out, err = run_cli(
+            capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "0.4", "--restarts", "2", "verify"
+        )
+        assert code == 0
+        assert err == "warning: refinement budget exceeded; results are best-so-far\n"
+        rows = csv_rows(out)
+        assert rows[0] == "mu,s_oracle,s_product,s_bell,gap,flag".split(",")
+        assert len(rows) == 2 and rows[1][0] == "0.4" and rows[1][5] == "false"
+        assert all(np.isfinite(float(x)) for x in rows[1][1:5])
 
     def _search_config(self, capsys, monkeypatch, *flags):
         seen = []
