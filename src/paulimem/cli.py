@@ -16,6 +16,7 @@ import os
 import stat
 import sys
 import tempfile
+from collections.abc import Iterable
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
 
@@ -30,6 +31,9 @@ from .oracle import SearchConfig, report_to_csv, report_to_json, verify_optimali
 
 # Largest --mu-grid, checked from START:END:STEP before the grid is built.
 _MAX_GRID_POINTS = 1_000_001
+# The grid is exact arithmetic on integers S, E, T and 10^d below 10 to this
+# power; every float64 in [0, 1] is written out in at most 1074 decimals.
+_MAX_GRID_DIGITS = 1100
 # Integers below this are exact in float64.
 _EXACT_INT = 2**53
 
@@ -60,35 +64,43 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError("grid step must be positive")
     if start > end:
         raise argparse.ArgumentTypeError("grid start exceeds end")
-    # Endpoints inclusive within half a step. An exponent past Decimal's range
-    # overflows in the count (0:1:1e-999999999) or in the values themselves
-    # (1e999999999:1e999999999:1). The bound is checked on the Decimal:
-    # int() of a quotient near 1e999999 alone takes ~40 s.
+    # Endpoints inclusive within half a step. A first count, rounded to Decimal's
+    # 28 digits, rejects a grid far past the bound or past Decimal's range
+    # (0:1:1e-999999999) before any integer is built: int() of a quotient near
+    # 1e999999 alone takes ~40 s. Rounding moves it by under 1e-26 of itself,
+    # so what it rejects has at least _MAX_GRID_POINTS steps.
+    too_many = f"grid has more than {_MAX_GRID_POINTS} points"
     try:
-        steps = (end - start) / step + Decimal("0.5")
-        if steps >= _MAX_GRID_POINTS:
-            raise argparse.ArgumentTypeError(f"grid has more than {_MAX_GRID_POINTS} points")
-        return _grid_values(start, end, step, int(steps))
-    except DecimalException:
+        if (end - start) / step >= _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(too_many)
+        # Exact from here: S, E, T are START, END and STEP times 10^d, d the most
+        # decimals among them (zeros have none).
+        bounds = (start, end, step)
+        d = max(0, -min(x.as_tuple().exponent for x in bounds if x))
+        if max(0, *(x.adjusted() for x in bounds if x)) + d >= _MAX_GRID_DIGITS:
+            raise OverflowError  # past the digit bound: out of range, as past float64
+        scale = 10**d
+        s, e, t = (num * scale // den for num, den in (x.as_integer_ratio() for x in bounds))
+        n = (2 * (e - s) + t) // (2 * t)  # floor((END - START) / STEP + 1/2)
+        if n >= _MAX_GRID_POINTS:
+            raise argparse.ArgumentTypeError(too_many)
+        return _grid_values(s, e, t, scale, n)
+    except (DecimalException, OverflowError):
         raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
 
 
-def _grid_values(start: Decimal, end: Decimal, step: Decimal, n: int) -> np.ndarray:
-    """float(min(start + k step, end)) for k = 0..n, each correctly rounded.
+def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> np.ndarray:
+    """min(s + k t, e) / scale for k = 0..n, each the float nearest the exact quotient.
 
-    With d decimals, value k is the integer S + k T, clamped to E, over 10^d.
-    While those integers and 10^d are below 2^53, float64 holds them exactly
-    and its division rounds correctly, so one array division equals the
-    Decimal loop; past that, the loop runs.
+    While those integers and scale are below 2^53, float64 holds them exactly
+    and its division rounds correctly, so one array division serves; past
+    that, Python's division of integers, which rounds correctly too, runs
+    once per value.
     """
-    d = max(0, -min(x.as_tuple().exponent for x in (start, end, step)))
-    last = start + n * step
-    if d < 16 and max(abs(start), abs(end), step, abs(last)) * 10**d < _EXACT_INT:
-        scale = 10**d
-        s, e, t = (int(x * scale) for x in (start, end, step))
+    if max(abs(s), abs(e), t, abs(s + n * t), scale) < _EXACT_INT:
         k = np.arange(n + 1, dtype=np.int64)
         return np.minimum(s + t * k, e) / scale
-    return np.array([float(min(start + k * step, end)) for k in range(n + 1)])
+    return np.array([min(s + k * t, e) / scale for k in range(n + 1)])
 
 
 class _Parser(argparse.ArgumentParser):
@@ -103,32 +115,28 @@ def build_parser() -> argparse.ArgumentParser:
         description="Two-use classical capacity of Pauli channels with correlated noise.",
     )
     source = parser.add_mutually_exclusive_group()
-    source.add_argument("--q", type=_parse_q, metavar="Q0,Q1,Q2,Q3",
-                        help="Pauli probabilities")
+    source.add_argument("--q", type=_parse_q, metavar="Q0,Q1,Q2,Q3", help="Pauli probabilities")
     source.add_argument("--family", choices=tuple(FAMILIES),
                         help="named channel family (needs --p)")
-    source.add_argument("--config", metavar="PATH",
-                        help="JSON channel config file")
+    source.add_argument("--config", metavar="PATH", help="JSON channel config file")
     parser.add_argument("--p", type=float, help="family parameter")
-    parser.add_argument("--mu", type=float, help="memory parameter in [0, 1]")
-    parser.add_argument("--mu-grid", type=_parse_grid, metavar="START:END:STEP",
+    memory = parser.add_mutually_exclusive_group()
+    memory.add_argument("--mu", type=float, help="memory parameter in [0, 1]")
+    memory.add_argument("--mu-grid", type=_parse_grid, metavar="START:END:STEP",
                         help="inclusive memory grid")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--out", metavar="PATH", help="write output here instead of stdout")
-    parser.add_argument("--seed", type=int, default=SearchConfig.seed,
-                        help="search seed (verify)")
-    parser.add_argument("--grid-points", type=int, default=SearchConfig.grid_points_per_angle,
-                        help="search grid points per angle (verify)")
-    parser.add_argument("--restarts", type=int, default=SearchConfig.restarts,
-                        help="random refinement restarts (verify)")
-    parser.add_argument("command", choices=("params", "thresholds", "capacity", "sweep", "verify"))
+    parser.add_argument("--seed", type=int, help="search seed (verify)")
+    parser.add_argument("--grid-points", type=int, help="search grid points per angle (verify)")
+    parser.add_argument("--restarts", type=int, help="random refinement restarts (verify)")
+    parser.add_argument("command", choices=tuple(_COMMANDS))
     return parser
 
 
-def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
+def _load_channel(args) -> PauliChannel:
     """Build the channel with channel_from_config from the --config file, or from the
     flags as the same mapping: {"q": ...} or {"family": ..., "p": ...}. mu is --mu,
-    else the mapping's "mu", else default_mu."""
+    else the mapping's "mu", else 0.0 for a run that reads no single mu."""
     if args.p is not None and args.family is None:
         raise PauliMemError("--p is read only with --family")
     if args.config is not None:
@@ -146,13 +154,13 @@ def _load_channel(args, default_mu: float | None = None) -> PauliChannel:
             raise PauliMemError("no channel given: use --q, --family or --config")
     mu = args.mu
     if mu is None and isinstance(cfg, dict) and "mu" not in cfg:
-        if default_mu is None:
+        if "mu" in _COMMANDS[args.command][1] and args.mu_grid is None:
             raise PauliMemError("missing 'mu': this command needs --mu or a config with 'mu'")
-        mu = default_mu
+        mu = 0.0
     return channel_from_config(cfg, mu)
 
 
-def _cmd_params(args) -> tuple[str, int]:
+def _cmd_params(args) -> tuple[Iterable[str], int]:
     channel = _load_channel(args)
     cp = channel_params(channel)
     if args.format == "json":
@@ -170,8 +178,8 @@ def _cmd_params(args) -> tuple[str, int]:
     return [csv_text("key,value", pairs)], 0
 
 
-def _cmd_thresholds(args) -> tuple[str, int]:
-    channel = _load_channel(args, default_mu=0.0)  # thresholds ignore mu
+def _cmd_thresholds(args) -> tuple[Iterable[str], int]:
+    channel = _load_channel(args)
     # Thresholds' fields in declaration order: the floats, then the flags.
     pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
@@ -180,7 +188,7 @@ def _cmd_thresholds(args) -> tuple[str, int]:
     return [csv_text("key,value", pairs)], 0
 
 
-def _cmd_capacity(args) -> tuple[str, int]:
+def _cmd_capacity(args) -> tuple[Iterable[str], int]:
     channel = _load_channel(args)
     results = capacity_sweep(channel, [channel.mu])
     if args.format == "json":
@@ -188,25 +196,23 @@ def _cmd_capacity(args) -> tuple[str, int]:
     return sweep_csv_blocks(results), 0
 
 
-def _cmd_sweep(args) -> tuple[str, int]:
+def _cmd_sweep(args) -> tuple[Iterable[str], int]:
     if args.mu_grid is None:
         raise PauliMemError("sweep needs --mu-grid")
-    channel = _load_channel(args, default_mu=0.0)  # grid values replace mu
+    channel = _load_channel(args)
     results = capacity_sweep(channel, args.mu_grid)
     if args.format == "json":
         return sweep_json_blocks(results), 0
     return sweep_csv_blocks(results), 0
 
 
-def _cmd_verify(args) -> tuple[str, int]:
-    if args.mu_grid is not None:
-        grid = args.mu_grid
-    elif args.mu is not None:
-        grid = [args.mu]
-    else:
+def _cmd_verify(args) -> tuple[Iterable[str], int]:
+    if args.mu is None and args.mu_grid is None:
         raise PauliMemError("verify needs --mu or --mu-grid")
-    channel = _load_channel(args, default_mu=grid[0])
-    cfg = SearchConfig(args.grid_points, args.restarts, args.seed)
+    channel = _load_channel(args)
+    grid = [args.mu] if args.mu_grid is None else args.mu_grid
+    given = dict(grid_points_per_angle=args.grid_points, restarts=args.restarts, seed=args.seed)
+    cfg = SearchConfig(**{name: value for name, value in given.items() if value is not None})
     report = verify_optimality_grid(channel, grid, cfg)
     if report.budget_exceeded:
         print("warning: refinement budget exceeded; results are best-so-far",
@@ -215,13 +221,14 @@ def _cmd_verify(args) -> tuple[str, int]:
     return [text], 1 if report.any_flag else 0
 
 
-# Each command returns its output as an iterable of text blocks, and its exit code.
-_DISPATCH = {
-    "params": _cmd_params,
-    "thresholds": _cmd_thresholds,
-    "capacity": _cmd_capacity,
-    "sweep": _cmd_sweep,
-    "verify": _cmd_verify,
+# Each command: its function, which returns the output as text blocks and the exit
+# code, and the memory and search flags it reads (verify reads them all).
+_COMMANDS = {
+    "params": (_cmd_params, ("mu",)),
+    "thresholds": (_cmd_thresholds, ()),
+    "capacity": (_cmd_capacity, ("mu",)),
+    "sweep": (_cmd_sweep, ("mu_grid",)),
+    "verify": (_cmd_verify, ("mu", "mu_grid", "seed", "grid_points", "restarts")),
 }
 
 
@@ -275,8 +282,12 @@ def _write_out(path: str, blocks) -> None:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run, reads = _COMMANDS[args.command]
     try:
-        blocks, code = _DISPATCH[args.command](args)
+        for dest in _COMMANDS["verify"][1]:  # refused before anything is built or run
+            if getattr(args, dest) is not None and dest not in reads:
+                raise PauliMemError(f"{args.command} does not read --{dest.replace('_', '-')}")
+        blocks, code = run(args)
         try:
             if args.out is None:
                 _write_blocks(sys.stdout, blocks)

@@ -3,6 +3,7 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -10,6 +11,7 @@ import sys
 import threading
 import types
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -133,10 +135,15 @@ class TestCapacityAndSweep:
         assert _parse_grid("0:1:0.6").tolist() == [0.0, 0.6, 1.0]  # end kept within half a step
 
     def test_grid_values_equal_the_decimal_loop(self):
-        # Below 2^53 the grid is one integer array division; past it, a
-        # Decimal loop. Both must give float(min(start + k step, end)).
+        # Below 2^53 the grid is one integer array division; past it, a loop
+        # over exact integers. Both must give float(min(start + k step, end))
+        # of the exact rationals, with k up to floor((end - start) / step + 1/2).
         texts = ["0:1:0.1", "0:1:0.3", "0:1:0.6", "-0:0:1", "-0.0:1:0.25", "0.1:0.95:0.2",
-                 "1e-3:2e-2:1E-3", "1E+2:1E+3:5E+1", "0.10:0.9:0.10", "-1.5:1.5:0.7"]
+                 "1e-3:2e-2:1E-3", "1E+2:1E+3:5E+1", "0.10:0.9:0.10", "-1.5:1.5:0.7",
+                 # past 28 digits: Decimal's default context rounds these
+                 "0:0.59999999999999999999999999999999:0.4",
+                 "0.1179187036710610606005111833383125495852:"
+                 "0.1179187036710610606005111833383125495852:0.1"]
         for d in range(18):  # integers that end below, at and past 2^53
             for first in (2**53 - 60, 2**53 - 21, 2**53 - 1, 2**53 + 3):
                 start, end = (Decimal(x).scaleb(-d) for x in (first, first + 20))
@@ -148,11 +155,22 @@ class TestCapacityAndSweep:
             step = Decimal(int(rng.integers(1, 10**4))).scaleb(-int(rng.integers(0, 19)))
             end = start + step * (int(rng.integers(0, 6000)) * Decimal("0.01"))
             texts.append(f"{start}:{end}:{step}")
+        # 40-digit starts within 1e-40 of the midpoint between two floats
+        for x in rng.uniform(0, 1, 100):
+            mid = (Fraction(x) + Fraction(np.nextafter(x, 2.0))) / 2
+            digits = round(mid * 10**40) + int(rng.integers(-1, 2))
+            texts.append(f"{digits}E-40:1:0.25")
+        # ends 1e-35 either side of half a step past a grid value
+        for k in range(20):
+            for side in (-1, 1):
+                texts.append(f"0:{(2 * k + 1) * 15 * 10**33 + side}E-35:0.3")
         for text in texts:
-            start, end, step = (Decimal(p) for p in text.split(":"))
-            n = int((end - start) / step + Decimal("0.5"))
+            start, end, step = (Fraction(Decimal(p)) for p in text.split(":"))
+            n = math.floor((end - start) / step + Fraction(1, 2))
             want = [float(min(start + k * step, end)) for k in range(n + 1)]
             assert [x.hex() for x in _parse_grid(text)] == [x.hex() for x in want], text
+        assert _parse_grid(texts[10]).tolist() == [0.0, 0.4]
+        assert _parse_grid(texts[11]).tolist() == [float(texts[11].split(":")[0])]
 
     def test_grid_size_bound_checked_before_building(self, monkeypatch):
         # Only the count is computed before the check, so none of these
@@ -166,6 +184,26 @@ class TestCapacityAndSweep:
         assert len(_parse_grid("0:0.9:0.1")) == 10
         with pytest.raises(argparse.ArgumentTypeError):
             _parse_grid("0:1:0.1")
+
+    def test_grid_size_bound_is_exact(self, monkeypatch):
+        # At 28 digits these quotients round up to a half step, one point more than exact.
+        grid = _parse_grid("0:0.10000004999999999999999999999999:0.0000001")
+        assert len(grid) == 1_000_001 and grid[-1] == 0.1
+        monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 2)
+        assert _parse_grid("0:0.59999999999999999999999999999999:0.4").tolist() == [0.0, 0.4]
+        with pytest.raises(argparse.ArgumentTypeError, match="more than 2 points"):
+            _parse_grid("0:0.6:0.4")
+
+    def test_grid_past_the_digit_bound_is_out_of_range(self):
+        # Exact values need integers below 10^1100, and floats need values below
+        # 2^1024; a grid past either exits 2.
+        for text in ("1e-1100:1:0.5", "1e1100:1e1100:1", "0:1:0.5" + "0" * 1098 + "1",
+                     "1e400:1e400:1"):
+            with pytest.raises(argparse.ArgumentTypeError, match="grid out of range"):
+                _parse_grid(text)
+        assert _parse_grid("1e-1099:1:0.5").tolist() == [0.0, 0.5, 1.0]
+        assert _parse_grid("0:1:0.5" + "0" * 1097 + "1").tolist() == [0.0, 0.5, 1.0]
+        assert _parse_grid("0e-5000:1:0.5").tolist() == [0.0, 0.5, 1.0]  # zeros have no decimals
 
     def test_json_has_no_negative_zero(self, capsys):
         # A pure output spectrum has entropy +0.0; JSON must not print -0.0.
@@ -474,10 +512,13 @@ class TestErrorContract:
             # ... and so do grid values past it, when the list is built
             (("--mu-grid", "1e999999999:1e999999999:1", "sweep"), "grid out of range"),
             (("--mu-grid", "1e999999999:1e999999999:1e999999999", "sweep"), "grid out of range"),
+            (("--mu", "0.5", "--seed", "1", "capacity"), "capacity does not read --seed"),
+            (("--mu", "0.5", "--mu-grid", "0:1:0.5", "verify"), "not allowed with argument --mu"),
         ],
         ids=[
             "mu-abc", "q-two-values", "grid-over-bound", "restarts-float",
             "grid-tiny-step", "grid-huge-end", "grid-huge-value", "grid-huge-all",
+            "unread-flag", "mu-with-grid",
         ],
     )
     def test_bad_flag(self, argv, message):
@@ -506,6 +547,89 @@ class TestErrorContract:
         self._assert_one_error_line(subprocess.CompletedProcess(argv, code, out, err))
         assert message in err
         assert searches == []
+
+
+# A valid value for each memory and search flag, keyed by its argparse dest.
+FLAG_ARGV = {
+    "mu": ("--mu", "0.5"),
+    "mu_grid": ("--mu-grid", "0:1:0.5"),
+    "seed": ("--seed", "1"),
+    "grid_points": ("--grid-points", "2"),
+    "restarts": ("--restarts", "2"),
+}
+READ = [(command, dest) for command, (_, reads) in cli._COMMANDS.items() for dest in reads]
+UNREAD = [(command, dest) for command, (_, reads) in cli._COMMANDS.items()
+          for dest in FLAG_ARGV if dest not in reads]
+
+
+class TestFlagsEachCommandReads:
+    """Each command takes the memory and search flags that cli._COMMANDS lists for it."""
+
+    def _run(self, capsys, *argv):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:  # argparse's own errors
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def _nothing_runs(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ran past the flag check")
+
+        for name in ("channel_from_config", "capacity_sweep", "verify_optimality_grid"):
+            monkeypatch.setattr(cli, name, refuse)
+
+    def test_the_table_covers_every_flag(self):
+        assert set(FLAG_ARGV) == {dest for _, reads in cli._COMMANDS.values() for dest in reads}
+
+    @pytest.mark.parametrize("command, dest", UNREAD)
+    def test_unread_flag_exits_2(self, capsys, monkeypatch, tmp_path, command, dest):
+        self._nothing_runs(monkeypatch)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+        flag, value = FLAG_ARGV[dest]
+        code, out, err = self._run(
+            capsys, "--q", "0.2,0.1,0.3,0.4", flag, value, "--out", str(target), command
+        )
+        assert (code, out, err) == (2, "", f"error: {command} does not read {flag}\n")
+        assert target.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_mu_with_mu_grid_exits_2(self, capsys, monkeypatch, tmp_path, command):
+        self._nothing_runs(monkeypatch)
+        target = tmp_path / "out.csv"
+        target.write_bytes(b"old bytes\n")
+        code, out, err = self._run(
+            capsys, "--q", "0.2,0.1,0.3,0.4", *FLAG_ARGV["mu"], *FLAG_ARGV["mu_grid"],
+            "--out", str(target), command,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: argument --mu-grid: not allowed with argument --mu\n"
+        assert target.read_bytes() == b"old bytes\n"
+
+    @pytest.mark.parametrize("command, dest", READ)
+    def test_read_flag_is_accepted(self, capsys, command, dest):
+        # The command's first flag gives its memory, unless dest is a memory flag.
+        memory = [] if dest in ("mu", "mu_grid") else FLAG_ARGV[cli._COMMANDS[command][1][0]]
+        code, out, err = self._run(
+            capsys, "--q", "0.2,0.1,0.3,0.4", *memory, *FLAG_ARGV[dest], command
+        )
+        assert (code, err) == (0, "")
+        assert out
+
+    def test_grid_search_gets_no_base_mu(self, capsys, monkeypatch):
+        # Without --mu or a config "mu", the channel verify --mu-grid gets has mu 0.0.
+        seen = []
+        real = cli.verify_optimality_grid
+
+        def spy(channel, grid, cfg):
+            seen.append((channel.mu, list(grid)))
+            return real(channel, grid, oracle.SearchConfig(1, 1, 0))
+
+        monkeypatch.setattr(cli, "verify_optimality_grid", spy)
+        code, _, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0.5:1:0.5", "verify")
+        assert code == 0 and seen == [(0.0, [0.5, 1.0])]
 
 
 class TestImports:
@@ -592,6 +716,9 @@ class TestVerify:
             capsys, monkeypatch, "--grid-points", "3", "--restarts", "5", "--seed", "9",
         )
         assert cfg == oracle.SearchConfig(grid_points_per_angle=3, restarts=5, seed=9)
+        # a flag not given leaves its field at the SearchConfig default
+        assert self._search_config(capsys, monkeypatch, "--restarts", "5") == \
+            oracle.SearchConfig(restarts=5)
 
 
 class TestDeterminism:
