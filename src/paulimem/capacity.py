@@ -83,17 +83,18 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of the 4-point spectra along the last axis.
 
     Eigenvalues in [-1e-9, 0) are treated as rounded zeros; anything more
-    negative, or a total away from 1 by more than 1e-9, raises InvalidSpectrum
-    for the first such spectrum.
+    negative, or a total away from 1 by more than 1e-9 (NaN included), raises
+    InvalidSpectrum for the first such spectrum.
     """
     low = lam.min(axis=-1)
     total = _sum4(lam)
-    bad = (low < -_SPECTRUM_TOL) | (abs(total - 1.0) > _SPECTRUM_TOL)
-    if bad.any():
-        i = np.unravel_index(np.argmax(bad), bad.shape)
+    # Written so that NaN, for which every comparison is false, fails it.
+    good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
+    if not good.all():
+        i = np.unravel_index(np.argmin(good), good.shape)
         if low[i] < -_SPECTRUM_TOL:
-            raise InvalidSpectrum(f"negative eigenvalue {low[i]!r}")
-        raise InvalidSpectrum(f"eigenvalues sum to {total[i]!r}, not 1")
+            raise InvalidSpectrum(f"negative eigenvalue {float(low[i])!r}")
+        raise InvalidSpectrum(f"eigenvalues sum to {float(total[i])!r}, not 1")
     # Zeros and rounded negatives contribute 1 log2 1 = 0.
     p = np.where(lam > 0.0, lam, 1.0)
     # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair

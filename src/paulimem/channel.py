@@ -242,9 +242,10 @@ def apply_channel(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (4, 4):
         raise InvalidState(f"expected a 4x4 density operator, got shape {rho.shape}")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > _TRACE_TOL:
+    # Written so that NaN, for which every comparison is false, fails them.
+    if not abs(tr - 1.0) <= _TRACE_TOL:
         raise InvalidState(f"trace {tr}, expected 1")
-    if np.abs(rho - rho.conj().T).max() > _TRACE_TOL:
+    if not np.abs(rho - rho.conj().T).max() <= _TRACE_TOL:
         raise InvalidState("density operator is not Hermitian")
     p = channel.joint_probabilities()
     out = np.zeros((4, 4), dtype=complex)

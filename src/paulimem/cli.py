@@ -16,7 +16,7 @@ import os
 import stat
 import sys
 import tempfile
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
 
@@ -105,8 +105,8 @@ def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> np.ndarray:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        """A bad flag is one `error:` line and exit 2, like any other input error."""
-        self.exit(2, f"error: {message}\n")
+        """A bad flag is one `error:` line and exit 2 from main, like any other input error."""
+        raise PauliMemError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -133,10 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_channel(args) -> PauliChannel:
-    """Build the channel with channel_from_config from the --config file, or from the
-    flags as the same mapping: {"q": ...} or {"family": ..., "p": ...}. mu is --mu,
-    else the mapping's "mu", else 0.0 for a run that reads no single mu."""
+def _load_channel(args, reads) -> tuple[PauliChannel, Sequence[float]]:
+    """The channel and memory grid for a command that reads the flags `reads`.
+
+    The channel is channel_from_config of the --config file, or of the flags as the
+    same mapping: {"q": ...} or {"family": ..., "p": ...}. The grid is --mu-grid, else
+    [mu]: --mu, else the mapping's "mu" (0.0 for a command that reads no single mu)."""
+    if args.mu_grid is None and "mu" not in reads and "mu_grid" in reads:
+        raise PauliMemError(f"{args.command} needs --mu-grid")
     if args.p is not None and args.family is None:
         raise PauliMemError("--p is read only with --family")
     if args.config is not None:
@@ -154,14 +158,14 @@ def _load_channel(args) -> PauliChannel:
             raise PauliMemError("no channel given: use --q, --family or --config")
     mu = args.mu
     if mu is None and isinstance(cfg, dict) and "mu" not in cfg:
-        if "mu" in _COMMANDS[args.command][1] and args.mu_grid is None:
+        if "mu" in reads and args.mu_grid is None:
             raise PauliMemError("missing 'mu': this command needs --mu or a config with 'mu'")
         mu = 0.0
-    return channel_from_config(cfg, mu)
+    channel = channel_from_config(cfg, mu)
+    return channel, [channel.mu] if args.mu_grid is None else args.mu_grid
 
 
-def _cmd_params(args) -> tuple[Iterable[str], int]:
-    channel = _load_channel(args)
+def _cmd_params(args, channel, grid) -> tuple[Iterable[str], int]:
     cp = channel_params(channel)
     if args.format == "json":
         payload = {
@@ -178,8 +182,7 @@ def _cmd_params(args) -> tuple[Iterable[str], int]:
     return [csv_text("key,value", pairs)], 0
 
 
-def _cmd_thresholds(args) -> tuple[Iterable[str], int]:
-    channel = _load_channel(args)
+def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
     # Thresholds' fields in declaration order: the floats, then the flags.
     pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
@@ -188,29 +191,21 @@ def _cmd_thresholds(args) -> tuple[Iterable[str], int]:
     return [csv_text("key,value", pairs)], 0
 
 
-def _cmd_capacity(args) -> tuple[Iterable[str], int]:
-    channel = _load_channel(args)
-    results = capacity_sweep(channel, [channel.mu])
+def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
+    results = capacity_sweep(channel, grid)
     if args.format == "json":
         return [json_text(results[0].to_dict())], 0
     return sweep_csv_blocks(results), 0
 
 
-def _cmd_sweep(args) -> tuple[Iterable[str], int]:
-    if args.mu_grid is None:
-        raise PauliMemError("sweep needs --mu-grid")
-    channel = _load_channel(args)
-    results = capacity_sweep(channel, args.mu_grid)
+def _cmd_sweep(args, channel, grid) -> tuple[Iterable[str], int]:
+    results = capacity_sweep(channel, grid)
     if args.format == "json":
         return sweep_json_blocks(results), 0
     return sweep_csv_blocks(results), 0
 
 
-def _cmd_verify(args) -> tuple[Iterable[str], int]:
-    if args.mu is None and args.mu_grid is None:
-        raise PauliMemError("verify needs --mu or --mu-grid")
-    channel = _load_channel(args)
-    grid = [args.mu] if args.mu_grid is None else args.mu_grid
+def _cmd_verify(args, channel, grid) -> tuple[Iterable[str], int]:
     given = dict(grid_points_per_angle=args.grid_points, restarts=args.restarts, seed=args.seed)
     cfg = SearchConfig(**{name: value for name, value in given.items() if value is not None})
     report = verify_optimality_grid(channel, grid, cfg)
@@ -221,8 +216,8 @@ def _cmd_verify(args) -> tuple[Iterable[str], int]:
     return [text], 1 if report.any_flag else 0
 
 
-# Each command: its function, which returns the output as text blocks and the exit
-# code, and the memory and search flags it reads (verify reads them all).
+# Each command: its function, (args, channel, grid) -> (text blocks, exit code), and
+# the memory and search flags it reads (verify reads them all).
 _COMMANDS = {
     "params": (_cmd_params, ("mu",)),
     "thresholds": (_cmd_thresholds, ()),
@@ -281,13 +276,13 @@ def _write_out(path: str, blocks) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    run, reads = _COMMANDS[args.command]
     try:
+        args = build_parser().parse_args(argv)
+        run, reads = _COMMANDS[args.command]
         for dest in _COMMANDS["verify"][1]:  # refused before anything is built or run
             if getattr(args, dest) is not None and dest not in reads:
                 raise PauliMemError(f"{args.command} does not read --{dest.replace('_', '-')}")
-        blocks, code = run(args)
+        blocks, code = run(args, *_load_channel(args, reads))
         try:
             if args.out is None:
                 _write_blocks(sys.stdout, blocks)

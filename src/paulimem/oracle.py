@@ -163,7 +163,7 @@ def eig_hermitian4(m: np.ndarray) -> np.ndarray:
     if a.shape != (4, 4):
         raise NonHermitian(f"expected a 4x4 matrix, got shape {a.shape}")
     asym = np.abs(a - a.conj().T).max()
-    if asym > _HERM_TOL:
+    if not asym <= _HERM_TOL:  # NaN fails it
         raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
     a = (a + a.conj().T) / 2.0
     scale = max(float(np.abs(a).max()), 1.0)

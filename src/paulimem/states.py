@@ -84,8 +84,8 @@ def density_matrix(vec: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a unit vector."""
     v = np.asarray(vec, dtype=complex)
     norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > _NORM_TOL:
-        raise NonNormalized(f"state vector has norm {norm!r}")
+    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails it
+        raise NonNormalized(f"state vector has norm {float(norm)!r}")
     return np.outer(v, v.conj())
 
 
@@ -100,7 +100,7 @@ def pauli_weights(rho: np.ndarray) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     traces = np.einsum("nkab,ba->nk", PAULI2, rho)
     worst = np.abs(traces.imag).max()
-    if worst > _IMAG_TOL:
+    if not worst <= _IMAG_TOL:  # NaN fails it
         raise NonHermitian(f"weight imaginary part {worst:.3e} exceeds tolerance")
     return traces.real.copy()
 
@@ -173,9 +173,9 @@ def params_from_states(vecs: np.ndarray) -> np.ndarray:
     """
     v = np.asarray(vecs, dtype=complex)
     norm = np.linalg.norm(v, axis=1)
-    off = np.abs(norm - 1.0) > _NORM_TOL
+    off = ~(np.abs(norm - 1.0) <= _NORM_TOL)  # NaN is off
     if off.any():
-        raise NonNormalized(f"state vector has norm {norm[off][0]!r}")
+        raise NonNormalized(f"state vector has norm {float(norm[off][0])!r}")
     a00 = v[:, :1]
     v = v * np.where(np.abs(a00) > 1e-15, np.exp(-1j * np.angle(a00)), 1.0)
     r = np.abs(v)

@@ -69,12 +69,14 @@ class TestEntropyBits:
         assert entropy_bits([1.0, -1e-12, 1e-12, 0.0]) >= 0.0
 
     def test_rejects_negative(self):
-        with pytest.raises(InvalidSpectrum):
+        with pytest.raises(InvalidSpectrum) as exc:
             entropy_bits([1.1, -0.1, 0.0, 0.0])
+        assert str(exc.value) == "negative eigenvalue -0.1"  # a plain float under any numpy
 
     def test_rejects_wrong_total(self):
-        with pytest.raises(InvalidSpectrum):
+        with pytest.raises(InvalidSpectrum) as exc:
             entropy_bits([0.5, 0.1, 0.1, 0.1])
+        assert str(exc.value) == "eigenvalues sum to 0.7999999999999999, not 1"
 
     def test_pure_is_positive_zero(self):
         for lam in ([1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [1.0, -1e-12, 1e-12, 0.0]):

@@ -123,9 +123,9 @@ class TestCapacityAndSweep:
 
     def test_bad_grid_exits_2(self, capsys):
         for grid in ("0.5:0.1:0.2", "0:nan:0.1", "a:1:0.1", "0:1e400:1", "0:1:0"):
-            with pytest.raises(SystemExit) as exc:
-                main(["--q", "0.2,0.1,0.3,0.4", "--mu-grid", grid, "sweep"])
-            assert exc.value.code == 2
+            code, out, err = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu-grid", grid, "sweep")
+            assert (code, out) == (2, "")
+            assert err.startswith("error: argument --mu-grid: ") and err.count("\n") == 1
 
     def test_grid_steps_land_on_decimal_values(self):
         assert _parse_grid("0:1:0.1").tolist() == [k / 10 for k in range(11)]
@@ -421,12 +421,31 @@ class TestConfigFile:
         assert (code, out) == (2, "")
         assert "missing 'mu'" in err
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_config_mu_reaches_verify(self, capsys, tmp_path, fmt):
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps({"q": [0.2, 0.1, 0.3, 0.4], "mu": 0.5}))
+        search = ("--grid-points", "2", "--restarts", "2", "--seed", "1", "--format", fmt)
+        from_config = run_cli(capsys, "--config", str(cfg), *search, "verify")
+        assert from_config == run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", *search,
+                                      "verify")
+        assert from_config[0] == 0 and from_config[1]
+
+    @pytest.mark.parametrize("source", ["flags", "config"])
+    def test_verify_without_mu_exits_2(self, capsys, tmp_path, source):
+        cfg = tmp_path / "channel.json"
+        cfg.write_text(json.dumps({"q": [0.2, 0.1, 0.3, 0.4]}))
+        channel = ("--q", "0.2,0.1,0.3,0.4") if source == "flags" else ("--config", str(cfg))
+        assert run_cli(capsys, *channel, "verify") == (
+            2, "", "error: missing 'mu': this command needs --mu or a config with 'mu'\n"
+        )
+
     def test_config_conflicts_with_q(self, capsys, tmp_path):
         cfg = tmp_path / "channel.json"
         cfg.write_text(json.dumps({"q": [1, 0, 0, 0], "mu": 0.0}))
-        with pytest.raises(SystemExit) as exc:
-            main(["--config", str(cfg), "--q", "1,0,0,0", "params"])
-        assert exc.value.code == 2
+        code, out, err = run_cli(capsys, "--config", str(cfg), "--q", "1,0,0,0", "params")
+        assert (code, out) == (2, "")
+        assert err == "error: argument --q: not allowed with argument --config\n"
 
 
 class TestErrorContract:
@@ -521,11 +540,19 @@ class TestErrorContract:
             "unread-flag", "mu-with-grid",
         ],
     )
-    def test_bad_flag(self, argv, message):
+    def test_bad_flag(self, capsys, argv, message):
         argv = argv if "--q" in argv else ("--q", "0.2,0.1,0.3,0.4", *argv)
         proc = self._run(*argv)
         self._assert_one_error_line(proc)
         assert message in proc.stderr
+        # In-process too: main returns 2 with the same one line.
+        assert run_cli(capsys, *argv) == (2, "", proc.stderr)
+
+    def test_help_is_the_only_system_exit(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: paulimem")
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -566,12 +593,10 @@ class TestFlagsEachCommandReads:
     """Each command takes the memory and search flags that cli._COMMANDS lists for it."""
 
     def _run(self, capsys, *argv):
-        try:
-            code = main(list(argv))
-        except SystemExit as exc:  # argparse's own errors
-            code = exc.code
-        captured = capsys.readouterr()
-        return code, captured.out, captured.err
+        code, out, err = run_cli(capsys, *argv)
+        # argparse's errors too: a return of 2 and one `error:` line
+        assert code == 0 or (code == 2 and err.startswith("error:") and err.count("\n") == 1)
+        return code, out, err
 
     def _nothing_runs(self, monkeypatch):
         def refuse(*args, **kwargs):

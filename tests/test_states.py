@@ -11,6 +11,8 @@ from paulimem import (
     NonHermitian,
     NonNormalized,
     NotPure,
+    PauliChannel,
+    PauliMemError,
     PureStateParams,
     alpha_beta,
     amplitudes_from_angles,
@@ -24,6 +26,9 @@ from paulimem import (
     state_vectors,
     weights_to_density,
 )
+from paulimem.capacity import entropy_bits
+from paulimem.channel import apply_channel
+from paulimem.oracle import eig_hermitian4
 from paulimem.pauli import SIGMA
 from conftest import random_params
 
@@ -339,3 +344,27 @@ def test_product_index_table():
             ratio = np.trace(target.conj().T @ prod) / 2.0
             assert abs(abs(ratio) - 1.0) < 1e-15
             assert np.abs(prod - ratio * target).max() < 1e-15
+
+
+NAN = float("nan")
+NAN_MATRIX = np.full((4, 4), NAN)
+
+
+@pytest.mark.parametrize(
+    "check, value",
+    [
+        (entropy_bits, [NAN] * 4),
+        (entropy_bits, [0.5, 0.5, NAN, 0.0]),
+        (density_matrix, [NAN, 0.0, 0.0, 0.0]),
+        (params_from_states, np.array([[1.0, 0.0, 0.0, NAN]])),
+        (lambda rho: apply_channel(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.5), rho), NAN_MATRIX),
+        (pauli_weights, NAN_MATRIX),
+        (eig_hermitian4, NAN_MATRIX),
+    ],
+    ids=["entropy_bits-all", "entropy_bits-one", "density_matrix", "params_from_states",
+         "apply_channel", "pauli_weights", "eig_hermitian4"],
+)
+def test_nan_input_is_rejected(check, value):
+    # Every check is "pass only if error <= tol", which NaN fails.
+    with pytest.raises(PauliMemError):
+        check(value)
