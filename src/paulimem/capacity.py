@@ -82,8 +82,8 @@ def _branch_spectra(d, l: int, e_l) -> np.ndarray:
 def _entropies(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of the 4-point spectra along the last axis.
 
-    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; anything more
-    negative, or a total away from 1 by more than 1e-9 (NaN included), raises
+    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
+    more negative, or a total away from 1 by more than 1e-9 raises
     InvalidSpectrum for the first such spectrum.
     """
     low = lam.min(axis=-1)
@@ -92,6 +92,8 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
     if not good.all():
         i = np.unravel_index(np.argmin(good), good.shape)
+        if np.isnan(low[i]):  # min propagates NaN
+            raise InvalidSpectrum("eigenvalue is NaN")
         if low[i] < -_SPECTRUM_TOL:
             raise InvalidSpectrum(f"negative eigenvalue {float(low[i])!r}")
         raise InvalidSpectrum(f"eigenvalues sum to {float(total[i])!r}, not 1")
@@ -105,8 +107,8 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
 def entropy_bits(lambdas) -> float:
     """Von Neumann entropy -sum lam log2(lam) of a 4-point spectrum, in bits.
 
-    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; anything more
-    negative, or a total away from 1 by more than 1e-9, is rejected.
+    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
+    more negative, or a total away from 1 by more than 1e-9 is rejected.
     """
     lam = np.asarray(lambdas, dtype=float)
     if lam.shape != (4,):
@@ -181,15 +183,10 @@ class CapacityResult:
             "entropy_bell": self.entropy_bell,
             "lambdas_product": [float(x) for x in self.lambdas_product],
             "lambdas_bell": [float(x) for x in self.lambdas_bell],
-            "mu_ml": json_float(self.mu_ml),
-            "mu_star": json_float(self.mu_star),
+            "mu_ml": self.mu_ml,
+            "mu_star": self.mu_star,
             "optimal_state": self.optimal_state_descriptor,
         }
-
-
-def json_float(x: float):
-    """x as a JSON number; NaN and infinities, which JSON cannot hold, become null."""
-    return float(x) if np.isfinite(x) else None
 
 
 def format_number(x) -> str:
@@ -461,7 +458,7 @@ def sweep_json_blocks(curve: CapacityCurve):
 
     Each block is one % over the element template repeated once per row,
     filled from an object array of Python floats, regime names and tails.
-    The tail (thresholds, NaN as null, and the descriptor) depends only on
+    The tail (thresholds and the descriptor) depends only on
     the regime, so it is rendered through to_dict and json_text once per
     regime of the curve, at that regime's first entry.
     """

@@ -19,7 +19,6 @@ from .pauli import PAULI2, PRODUCT_INDEX, SIGN_TABLE
 
 _SUM_TOL = 1e-9
 _TRACE_TOL = 1e-9
-_DEGENERATE_TOL = 1e-15
 
 # Plain float table for scalar accumulation (see epsilon_vector).
 _SIGN = [[float(SIGN_TABLE[i, j]) for j in range(4)] for i in range(4)]
@@ -134,43 +133,34 @@ def epsilon_matrix_bruteforce(channel: PauliChannel) -> np.ndarray:
 def ordering(channel: PauliChannel) -> tuple[int, int, int]:
     """Indices (l, m, s) of eps_1..eps_3 sorted by decreasing magnitude.
 
-    Ties keep the smaller index first, which makes the output deterministic;
-    the capacity is invariant under tied permutations.
+    The sort key is d_k = 1 - eps_k^2 (see Thresholds). Ties keep the smaller
+    index first, which makes the output deterministic; the capacity is
+    invariant under tied permutations.
     """
-    return _ordering(epsilon_vector(channel))
-
-
-def _ordering(eps) -> tuple[int, int, int]:
-    ranked = sorted((1, 2, 3), key=lambda k: (-abs(eps[k]), k))
-    return (ranked[0], ranked[1], ranked[2])
+    return _capacity_inputs(channel)[1]
 
 
 @dataclass(frozen=True)
 class Thresholds:
     """Memory values where the channel-parameter ordering changes.
 
-    mu_ml solves eps_mm(mu)^2 = eps_l^2 and mu_star solves
-    eps_mm(mu)^2 + eps_ss(mu)^2 = 2 eps_l^2 (the point where maximally
-    entangled inputs overtake the best product inputs). The public values are
-    clamped to [0, 1]; the raw solutions are kept for diagnostics.
+    mu_ml solves eps_mm(mu)^2 = eps_l^2 and mu_star solves eps_mm(mu)^2 +
+    eps_ss(mu)^2 = 2 eps_l^2; 0 <= mu_ml <= mu_star <= 1. mu_star is where
+    the two families' outputs have equal purity Tr(rho_out^2), the Renyi-2
+    crossover, not where entangled inputs overtake in von Neumann entropy.
 
-    degenerate marks channels with a single certain error (some q_i = 1,
-    hence every |eps_k| = 1): both equations become 0 = 0 and the thresholds
-    are reported as 0. no_threshold marks a negative radicand in the mu_star
-    formula; for valid channels the radicand is provably nonnegative, so the
-    flag only guards against pathological rounding.
+    Both derive from p_k = q_0 + q_k, the weight sigma_k keeps, and n_k, the
+    weight it flips: 1 - eps_k^2 = 4 p_k n_k, with no cancellation even next
+    to a point mass. That needs sum(q) = 1; for the sums within 1e-9 of 1
+    that PauliChannel accepts, the thresholds move by the same order.
+
+    degenerate marks a point-mass q (every |eps_k| = 1): both equations read
+    0 = 0 and the thresholds are reported as 0.
     """
 
     mu_ml: float
     mu_star: float
-    mu_ml_raw: float
-    mu_star_raw: float
     degenerate: bool = False
-    no_threshold: bool = False
-
-
-def _clamp01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
 
 
 def thresholds(channel: PauliChannel) -> Thresholds:
@@ -182,31 +172,35 @@ def _capacity_inputs(channel: PauliChannel) -> tuple[list, tuple[int, int, int],
     """eps as plain floats, the magnitude ordering and the thresholds: all that
     does not depend on mu. Every route to Thresholds goes through here, so its
     fields are plain floats."""
-    eps = epsilon_vector(channel).tolist()
-    order = _ordering(eps)
-    return eps, order, _thresholds(eps, order)
+    q0, q1, q2, q3 = channel.q
+    # (p_k, n_k): the weight sigma_k keeps and the weight it flips; sigma_0 flips nothing.
+    kept_flipped = [(1.0, 0.0), (q0 + q1, q2 + q3), (q0 + q2, q1 + q3), (q0 + q3, q1 + q2)]
+    d = [4.0 * p * n for p, n in kept_flipped]
+    order = tuple(sorted((1, 2, 3), key=lambda k: (d[k], k)))
+    return epsilon_vector(channel).tolist(), order, _thresholds(kept_flipped, d, order)
 
 
-def _thresholds(eps: list[float], order: tuple[int, int, int]) -> Thresholds:
+def _thresholds(kept_flipped: list, d: list[float], order: tuple[int, int, int]) -> Thresholds:
     l, m, s = order
-    em2 = eps[m] * eps[m]
-    es2 = eps[s] * eps[s]
-    dm = 1.0 - em2
-    ds = 1.0 - es2
-    if dm < _DEGENERATE_TOL:
-        # |eps_m| = 1 forces a point-mass q, so |eps_s| = 1 as well.
-        return Thresholds(0.0, 0.0, 0.0, 0.0, degenerate=True)
-    mu_ml_raw = (abs(eps[l]) - em2) / dm
-    denom = dm * dm + ds * ds
-    rad = 2.0 * eps[l] * eps[l] * denom - (dm - ds) ** 2
-    if -1e-12 <= rad < 0.0:
-        rad = 0.0  # provably >= 0; clear roundoff only
-    if rad < 0.0:
-        return Thresholds(
-            _clamp01(mu_ml_raw), float("nan"), mu_ml_raw, float("nan"), no_threshold=True
-        )
-    mu_star_raw = (-dm * em2 - ds * es2 + sqrt(rad)) / denom
-    return Thresholds(_clamp01(mu_ml_raw), _clamp01(mu_star_raw), mu_ml_raw, mu_star_raw)
+    dm, ds = d[m], d[s]
+    if dm == 0.0:  # two d_k vanish only for a point-mass q
+        return Thresholds(0.0, 0.0, degenerate=True)
+    # In x = 1 - mu, eps_kk = 1 - x d_k; at mu_ml eps_mm = e = |eps_l|, 1 - e = 2 min(p_l, n_l).
+    p, n = kept_flipped[l]
+    e = abs(p - n)
+    x = 2.0 * min(p, n) / dm
+    mu_ml = 1.0 - x
+    # At mu_ml + delta, eps_mm = e + delta d_m and eps_ss = v + delta d_s, where v = e - g and
+    # g = x (d_s - d_m) >= 0. So the mu_star equation reads (d_m^2 + d_s^2) delta^2 + 2 b delta
+    # = c with b = e d_m + v d_s and c = g (e + v), and its root delta >= 0 has no cancellation.
+    # c = 0 where the roots coincide (d_m = d_s), and b = c = 0 at the uniform q.
+    g = x * (ds - dm)
+    v = e - g
+    b = e * dm + v * ds
+    c = g * (e + v)
+    delta = c / (b + sqrt(b * b + (dm * dm + ds * ds) * c)) if c > 0.0 else 0.0
+    # Where the roots lie at mu = 0 (eps_l = eps_m = 0), rounding can put them a hair below.
+    return Thresholds(max(mu_ml, 0.0), max(mu_ml + delta, 0.0))
 
 
 @dataclass(frozen=True)

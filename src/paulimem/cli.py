@@ -22,7 +22,7 @@ from decimal import Decimal, DecimalException, InvalidOperation
 
 import numpy as np
 
-from .capacity import capacity_sweep, csv_text, json_float, json_text
+from .capacity import capacity_sweep, csv_text, json_text
 from .capacity import sweep_csv_blocks, sweep_json_blocks
 from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
 from .errors import PauliMemError
@@ -183,11 +183,10 @@ def _cmd_params(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
-    # Thresholds' fields in declaration order: the floats, then the flags.
+    # Thresholds' fields in declaration order: the two floats, then the flag.
     pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
-        payload = {k: v if isinstance(v, bool) else json_float(v) for k, v in pairs}
-        return [json_text(payload)], 0
+        return [json_text(dict(pairs))], 0
     return [csv_text("key,value", pairs)], 0
 
 

@@ -101,7 +101,8 @@ def pauli_weights(rho: np.ndarray) -> np.ndarray:
     traces = np.einsum("nkab,ba->nk", PAULI2, rho)
     worst = np.abs(traces.imag).max()
     if not worst <= _IMAG_TOL:  # NaN fails it
-        raise NonHermitian(f"weight imaginary part {worst:.3e} exceeds tolerance")
+        what = "is NaN" if np.isnan(worst) else f"imaginary part {worst:.3e} exceeds tolerance"
+        raise NonHermitian(f"weight {what}")
     return traces.real.copy()
 
 

@@ -79,7 +79,7 @@ def test_threshold_defining_property():
         while checked < 100:
             ch = random_channel(rng)
             th = thresholds(ch)
-            if th.degenerate or th.no_threshold or not 0.0 <= th.mu_star <= 1.0:
+            if th.degenerate or not 0.0 <= th.mu_star <= 1.0:
                 continue
             eps = epsilon_vector(ch)
             l, m, s = ordering(ch)

@@ -1,4 +1,5 @@
-import warnings
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from paulimem import (
     OutOfRange,
     PauliChannel,
     PauliMemError,
+    Thresholds,
     apply_channel,
     apply_channel_weights,
     bell_state,
@@ -216,6 +218,51 @@ class TestOrdering:
         assert ordering(PauliChannel((0.5, 0.0, 0.0, 0.5), 0.0))[0] == 3
 
 
+def exact_thresholds(q) -> tuple[Decimal, Decimal]:
+    """(mu_ml, mu_star) of an exactly normalized q from its defining equations, at 80 digits.
+
+    Dyadic floats convert to Decimal exactly, so eps_k and the ordering are
+    exact and the roots carry only 80-digit rounding.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 80
+        qd = [Decimal(x) for x in q]
+        eps = [qd[0] + qd[k] - sum(qd[j] for j in (1, 2, 3) if j != k) for k in (1, 2, 3)]
+        el2, em2, es2 = sorted((e * e for e in eps), reverse=True)
+        dm, ds = 1 - em2, 1 - es2
+        if dm == 0:
+            return Decimal(0), Decimal(0)
+        mu_ml = (el2.sqrt() - em2) / dm
+        # (em2 + mu dm)^2 + (es2 + mu ds)^2 = 2 el2: its larger root in mu.
+        a = dm * dm + ds * ds
+        b = 2 * (em2 * dm + es2 * ds)
+        c = em2 * em2 + es2 * es2 - 2 * el2
+        mu_star = (-b + (b * b - 4 * a * c).sqrt()) / (2 * a)
+        return min(max(mu_ml, Decimal(0)), Decimal(1)), min(max(mu_star, Decimal(0)), Decimal(1))
+
+
+def near_point_masses(rng, count):
+    """Exactly normalized q with three small dyadic weights k 2^-e (e < 60)
+    and the rest on one Pauli index; draws whose large weight rounds are dropped."""
+    out = []
+    while len(out) < count:
+        e = int(rng.integers(1, 60))
+        small = [float(k) * 2.0**-e for k in rng.integers(0, 8, 3)]
+        big = 1.0 - sum(small)
+        if big < 0.5 or Fraction(big) + sum(map(Fraction, small)) != 1:
+            continue
+        at = int(rng.integers(4))
+        out.append(tuple(small[:at] + [big] + small[at:]))
+    return out
+
+
+def dyadic_generic(rng, count):
+    """Exactly normalized q = k / 2^20 with k drawn uniformly."""
+    cuts = np.sort(rng.integers(0, 2**20 + 1, (count, 3)), axis=1)
+    k = np.diff(cuts, prepend=0, append=2**20, axis=1)
+    return [tuple(float(x) * 2.0**-20 for x in row) for row in k]
+
+
 class TestThresholds:
     def test_illustration_mu_ml(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.0)
@@ -234,7 +281,7 @@ class TestThresholds:
         for _ in range(200):
             ch = random_channel(rng)
             th = thresholds(ch)
-            if th.degenerate or th.no_threshold:
+            if th.degenerate:
                 continue
             eps = epsilon_vector(ch)
             l, m, s = ordering(ch)
@@ -262,19 +309,27 @@ class TestThresholds:
         assert thresholds(mp_channel(0.4, 0.0)).mu_star == pytest.approx(0.6, abs=1e-12)
 
     def test_ordering_of_thresholds(self, rng):
-        # mu_ml <= mu_star is expected everywhere; log rather than reject.
-        violations = []
+        # d_s >= d_m puts eps_ss <= eps_mm = |eps_l| at mu_ml, so eps_mm^2 + eps_ss^2,
+        # increasing in mu, reaches 2 eps_l^2 at or above it: mu_ml <= mu_star.
         for k in range(1000):
             ch = random_channel(rng)
             th = thresholds(ch)
-            if th.degenerate or th.no_threshold:
+            if th.degenerate:
                 continue
-            assert 0.0 <= th.mu_ml <= 1.0
-            assert 0.0 <= th.mu_star <= 1.0
-            if th.mu_ml > th.mu_star + 1e-12:
-                violations.append((ch.q, th.mu_ml, th.mu_star))
-        if violations:
-            warnings.warn(f"mu_ml > mu_star on {len(violations)} channels: {violations[:3]}")
+            assert 0.0 <= th.mu_ml <= th.mu_star <= 1.0
+
+    def test_matches_exact_roots_next_to_point_masses(self):
+        rng = np.random.default_rng(21)
+        qs = near_point_masses(rng, 2000) + dyadic_generic(rng, 500)
+        qs.append((1.0 - 2.0**-52, 2.0**-52, 0.0, 0.0))
+        worst = 0.0
+        for q in qs:
+            th = thresholds(PauliChannel(q, 0.0))
+            ml, star = exact_thresholds(q)
+            worst = max(worst, abs(Decimal(th.mu_ml) - ml), abs(Decimal(th.mu_star) - star))
+            assert th.mu_ml <= th.mu_star, q
+        assert worst <= Decimal("1e-14")
+        assert thresholds(PauliChannel(qs[-1], 0.0)) == Thresholds(1.0, 1.0)
 
 
 class TestApplyChannel:

@@ -351,20 +351,22 @@ NAN_MATRIX = np.full((4, 4), NAN)
 
 
 @pytest.mark.parametrize(
-    "check, value",
+    "check, value, message",
     [
-        (entropy_bits, [NAN] * 4),
-        (entropy_bits, [0.5, 0.5, NAN, 0.0]),
-        (density_matrix, [NAN, 0.0, 0.0, 0.0]),
-        (params_from_states, np.array([[1.0, 0.0, 0.0, NAN]])),
-        (lambda rho: apply_channel(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.5), rho), NAN_MATRIX),
-        (pauli_weights, NAN_MATRIX),
-        (eig_hermitian4, NAN_MATRIX),
+        (entropy_bits, [NAN] * 4, "eigenvalue is NaN"),
+        (entropy_bits, [0.5, 0.5, NAN, 0.0], "eigenvalue is NaN"),
+        (density_matrix, [NAN, 0.0, 0.0, 0.0], None),
+        (params_from_states, np.array([[1.0, 0.0, 0.0, NAN]]), None),
+        (lambda rho: apply_channel(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.5), rho), NAN_MATRIX,
+         None),
+        (pauli_weights, NAN_MATRIX, "weight is NaN"),
+        (eig_hermitian4, NAN_MATRIX, None),
     ],
     ids=["entropy_bits-all", "entropy_bits-one", "density_matrix", "params_from_states",
          "apply_channel", "pauli_weights", "eig_hermitian4"],
 )
-def test_nan_input_is_rejected(check, value):
-    # Every check is "pass only if error <= tol", which NaN fails.
-    with pytest.raises(PauliMemError):
+def test_nan_input_is_rejected(check, value, message):
+    # Every check is "pass only if error <= tol", which NaN fails; where the
+    # message is given, it names the NaN rather than the check it failed.
+    with pytest.raises(PauliMemError, match=message):
         check(value)
