@@ -48,7 +48,19 @@ _REFINEMENTS = 3
 _TOL_ENTROPY = 1e-6
 # Refinement passes, each one trial point per live start (a step taken or a
 # step halved); a start still live at the cap sets OracleResult.budget_exceeded.
+# With the first step bounded by _MAX_STEP a default search takes 18-34
+# passes at the oracle_verify benchmark points and 93-120 at the pure-output
+# minima of q = (0.5, 0.5, 0, 0), mu = 0.2 and the worked example, mu = 1.
 _MAX_ITERS = 5000
+# Longest first trial step of a new direction. Every row is a unit vector
+# when a direction is set, so no trial row is longer than 1 + _MAX_STEP;
+# an unbounded step went up to 7.1e6 and halved back one pass at a time.
+# Objective calls (passes) and rows per default search, on the six
+# oracle_verify benchmark points with restart seeds 0-7:
+#   unbounded 37.3 passes, 1,233 rows   0.125  34.2, 1,287   0.25  27.5, 1,114
+#   0.5       26.7, 1,096              0.75   27.6, 1,122   1     27.9, 1,136
+#   1.5       29.0, 1,161              2      29.6, 1,170   4     30.8, 1,191
+_MAX_STEP = 0.5
 # Caps on the user-set search sizes, checked before anything is allocated:
 # the grid holds grid_points_per_angle**6 points, evaluated in one batch
 # (4,096 at the cap, ~2.4 MB of peak memory for a search), and each random
@@ -78,6 +90,8 @@ class SearchConfig:
         for name in ("grid_points_per_angle", "restarts", "seed"):
             value = getattr(self, name)
             try:
+                if isinstance(value, (bool, np.bool_)):  # index(True) is 1
+                    raise TypeError
                 index(value)  # ints and numpy integers; not floats, not strings
             except TypeError:
                 raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
@@ -256,16 +270,23 @@ def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarra
     return entropy, grad.view(float)
 
 
+def _first_step(p: np.ndarray) -> np.ndarray:
+    """min(1, _MAX_STEP / |p|) for each row of p, without dividing by zero."""
+    return _MAX_STEP / np.maximum(np.sqrt(np.einsum("ni,ni->n", p, p)), _MAX_STEP)
+
+
 def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, bool]:
     """BFGS from all (R, 4) unit amplitude rows at once, on the exact entropy gradient.
 
     The rows move in the 8 real coordinates of their amplitudes. Each row
     keeps an inverse-Hessian estimate H (identity at first, kept where
-    s.y <= 0), a direction p = -H g and a step t. Each pass evaluates x + t p
+    s.y <= 0), a direction p = -H g and a step t, which starts each new
+    direction at min(1, _MAX_STEP / |p|), so no trial point lies more than
+    _MAX_STEP from the unit row it moves from. Each pass evaluates x + t p
     for every live row: a row whose S drops by the Armijo fraction 1e-4 of
     t p.g takes the step, updates H, is scaled back to unit length (its
-    gradient scaled up by the same length, exact as S ignores the length),
-    sets a new p and resets t to 1; any other row halves t. A row stops once
+    gradient scaled up by the same length, exact as S ignores the length)
+    and sets a new p and its first t; any other row halves t. A row stops once
     every gradient component is <= _GRAD_TOL, or when the predicted drop
     t |p.g| falls below float64 resolution with no decrease found, as at a
     minimum. The working arrays hold live rows only, with idx mapping each
@@ -282,7 +303,8 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     x, f, g = out_x[idx], out_f[idx], g[idx]
     eye, eps = np.eye(8), np.finfo(float).eps
     h = np.tile(eye, (len(idx), 1, 1))
-    p, slope, t = -g, -np.einsum("ni,ni->n", g, g), np.ones(len(idx))
+    p, slope = -g, -np.einsum("ni,ni->n", g, g)
+    t = _first_step(p)
     for _ in range(_MAX_ITERS):
         if not idx.size:
             break
@@ -304,7 +326,7 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
         ga = ga * length
         pa = -(ha @ ga[:, :, None])[:, :, 0]
         x[a], f[a], g[a], h[a], p[a] = xa / length, ft[a], ga, ha, pa
-        slope[a], t[a] = np.einsum("ni,ni->n", pa, ga), 1.0
+        slope[a], t[a] = np.einsum("ni,ni->n", pa, ga), _first_step(pa)
         stop[a] = np.abs(ga).max(axis=1) <= _GRAD_TOL
         if stop.any():
             out_x[idx[stop]], out_f[idx[stop]] = x[stop], f[stop]

@@ -201,6 +201,13 @@ class TestSearchConfig:
             SearchConfig(**{field: 2.5})
         SearchConfig(**{field: np.int64(2)})  # numpy integers are integers
 
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    @pytest.mark.parametrize("field", ["grid_points_per_angle", "restarts", "seed"])
+    def test_validation_rejects_bool(self, field, value):
+        # operator.index(True) is 1, so a bool would pass as an integer
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
+
     def test_sizes_bounded(self):
         # validation only: a config is plain data, nothing is allocated
         SearchConfig(grid_points_per_angle=4, restarts=1000)
@@ -335,14 +342,32 @@ class TestBruteForce:
 
     def test_refinement_passes(self, monkeypatch):
         # a count, not a time: every live start takes one trial point per
-        # pass, so a start halving its step holds up no other (39 calls here)
+        # pass, so a start halving its step holds up no other, and a bounded
+        # first step leaves few steps to halve (24 calls here, 39 unbounded)
         calls = []
         objective = oracle._entropy_and_gradient
         monkeypatch.setattr(
             oracle, "_entropy_and_gradient", lambda x, m: calls.append(len(x)) or objective(x, m)
         )
         min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5))
-        assert len(calls) <= 80
+        assert len(calls) <= 32
+
+    @pytest.mark.parametrize(
+        "ch", [PauliChannel(ILLUSTRATION_Q, 0.5), depolarizing(0.25, 0.55)], ids=["worked", "depol"]
+    )
+    def test_trial_points_stay_near_the_sphere(self, monkeypatch, ch):
+        # every row after the first call is a unit row plus a step of length
+        # at most _MAX_STEP; unbounded first steps reached 7.1e6 and 334 here
+        norms = []
+        objective = oracle._entropy_and_gradient
+        monkeypatch.setattr(
+            oracle,
+            "_entropy_and_gradient",
+            lambda x, m: norms.append(np.linalg.norm(x, axis=1)) or objective(x, m),
+        )
+        min_entropy_bruteforce(ch)
+        assert len(norms) > 1
+        assert np.concatenate(norms[1:]).max() <= 1.0 + oracle._MAX_STEP + 1e-12
 
     @pytest.mark.parametrize(
         "ch, extra, stops",
