@@ -7,12 +7,16 @@ diagonalizer (with LAPACK only in the vectorized search hot loop), and the
 minimum output entropy is found by a brute-force grid over the six-parameter
 pure-state family plus one batched BFGS refinement with the exact entropy
 gradient over the amplitudes themselves, from the best grid cells and from
-Haar-uniform random states; the best refined row is the result.
+Haar-uniform random states; the best refined row is the result. The
+channel-independent inputs (the grid's states, its distinct projectors and
+the Haar starts) are built once per search config and reused, and each
+distinct grid state is diagonalized once per search.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, astuple, dataclass
+from functools import lru_cache
 from math import hypot, sqrt
 from operator import index
 
@@ -92,7 +96,8 @@ class SearchConfig:
             try:
                 if isinstance(value, (bool, np.bool_)):  # index(True) is 1
                     raise TypeError
-                index(value)  # ints and numpy integers; not floats, not strings
+                # ints and numpy integers, stored as int; not floats, not strings
+                object.__setattr__(self, name, index(value))
             except TypeError:
                 raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
         for name in ("grid_points_per_angle", "restarts"):
@@ -242,9 +247,14 @@ def channel_superoperator(channel: PauliChannel) -> np.ndarray:
     return (channel.joint_probabilities().reshape(16, 1, 1) * _KRON).sum(axis=0)
 
 
-def _outputs(superop: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """(N, 4, 4) output matrices of the (N, 4) pure-state amplitudes v."""
-    return (np.einsum("ni,nj->nij", v, v.conj()).reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
+def _projectors(v: np.ndarray) -> np.ndarray:
+    """(N, 16) row-major projectors |v><v| of the (N, 4) pure-state amplitudes v."""
+    return np.einsum("ni,nj->nij", v, v.conj()).reshape(-1, 16)
+
+
+def _outputs(superop: np.ndarray, proj: np.ndarray) -> np.ndarray:
+    """(N, 4, 4) output matrices of the (N, 16) projector rows proj."""
+    return (proj @ superop.T).reshape(-1, 4, 4)
 
 
 def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -258,15 +268,19 @@ def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarra
     """
     norm = np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
     v = x.view(complex) / norm
-    lam, vecs = np.linalg.eigh(_outputs(superop, v))
-    lam = np.maximum(lam, 1e-300)
+    lam, vecs = np.linalg.eigh(_outputs(superop, _projectors(v)))
+    np.maximum(lam, 1e-300, out=lam)
     log_lam = np.log2(lam)
     entropy = np.maximum(-(lam * log_lam).sum(axis=1), 0.0)
-    log_out = (vecs * log_lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    vecs_h = np.conjugate(vecs.transpose(0, 2, 1), order="C")
+    vecs *= log_lam[:, None, :]
+    log_out = vecs @ vecs_h
     pulled = (log_out.reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
-    mv = (pulled @ v[:, :, None])[:, :, 0]
-    expect = np.einsum("ni,ni->n", v.view(float), mv.view(float))  # Re <v|M v>
-    grad = -2.0 * (mv - expect[:, None] * v) / norm
+    grad = (pulled @ v[:, :, None])[:, :, 0]  # M v
+    expect = np.einsum("ni,ni->n", v.view(float), grad.view(float))  # Re <v|M v>
+    grad -= expect[:, None] * v
+    grad *= -2.0
+    grad /= norm
     return entropy, grad.view(float)
 
 
@@ -294,7 +308,9 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     that stops rows writes their x and f into the result once and drops
     them from the working arrays, so no pass touches a stopped row. Returns
     the final values, (R, 4) unit rows, rows evaluated and whether
-    _MAX_ITERS passes left a row live.
+    _MAX_ITERS passes left a row live. A pass on which every live row
+    steps replaces the working arrays whole instead of scattering into them;
+    each row's arithmetic is the same either way.
     """
     out_x = starts.copy().view(float)
     out_f, g = _entropy_and_gradient(out_x, superop)
@@ -314,18 +330,24 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
         ok = (ft < f) & (ft <= f + 1e-4 * t * slope)
         stop = ~ok & (t * slope >= -eps)  # stalled
         t[~(ok | stop)] *= 0.5
-        a = np.flatnonzero(ok)
+        every = ok.all()
+        a = slice(None) if every else np.flatnonzero(ok)
         xa, ga = trial[a], gt[a]
         s, y = xa - x[a], ga - g[a]
         sy = np.einsum("ni,ni->n", s, y)
-        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
+        r = 1.0 / np.where(sy > 0, sy, np.inf)  # r = 0 keeps H
         rs = (r[:, None] * s)[:, :, None]
         v = eye - rs * y[:, None, :]
-        ha = v @ h[a] @ v.transpose(0, 2, 1) + rs * s[:, None, :]
+        ha = v @ h[a] @ np.ascontiguousarray(v.transpose(0, 2, 1))
+        ha += rs * s[:, None, :]
         length = np.sqrt(np.einsum("ni,ni->n", xa, xa))[:, None]
         ga = ga * length
         pa = -(ha @ ga[:, :, None])[:, :, 0]
-        x[a], f[a], g[a], h[a], p[a] = xa / length, ft[a], ga, ha, pa
+        stepped = xa / length, ft[a], ga, ha, pa
+        if every:
+            x, f, g, h, p = stepped
+        else:
+            x[a], f[a], g[a], h[a], p[a] = stepped
         slope[a], t[a] = np.einsum("ni,ni->n", pa, ga), _first_step(pa)
         stop[a] = np.abs(ga).max(axis=1) <= _GRAD_TOL
         if stop.any():
@@ -347,10 +369,48 @@ def _grid(g: int) -> np.ndarray:
     return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
+# Each entry holds at most ~1.4 MB, at the caps (4,096 cells and 1,000
+# restarts): 4,096 x 4 grid amplitudes, up to 4,096 x 16 projector rows and
+# 1,000 x 4 Haar starts, all complex, plus 4,096 row indices. So the cache
+# holds at most ~11 MB.
+@lru_cache(maxsize=8)
+def _search_inputs(g: int, restarts: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The channel-independent inputs of a search, as read-only arrays.
+
+    Returns the (g**6, 4) grid states, each bitwise-distinct grid projector
+    row |v><v| once (flattened to 16 entries, in order of first occurrence),
+    the index of every cell's row among them, and the (restarts, 4) Haar
+    starts: complex Gaussian 4-vectors drawn from the seed and normalized.
+    """
+    grid = state_vectors(_grid(g))
+    proj = _projectors(grid)
+    keys = proj.view(np.dtype((np.void, proj.itemsize * 16)))[:, 0]
+    _, first, cell_key = np.unique(keys, return_index=True, return_inverse=True)
+    by_first = np.argsort(first)
+    gauss = np.random.default_rng(seed).standard_normal((restarts, 8)).view(complex)
+    haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    arrays = grid, proj[first[by_first]], np.argsort(by_first)[cell_key], haar
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
-    """Output entropies for a batch of parameter rows (theta, phi, psi, phases)."""
-    params = np.atleast_2d(np.asarray(params, dtype=float))
-    return _output_entropies(_outputs(channel_superoperator(channel), state_vectors(params)))
+    """Output entropies for a batch of parameter rows (theta, phi, psi, phases).
+
+    params is one row of six finite angles or an (N, 6) array of them;
+    anything else raises OutOfRange.
+    """
+    try:
+        params = np.atleast_2d(np.asarray(params, dtype=float))
+    except (TypeError, ValueError):
+        raise OutOfRange("parameter rows must be numbers") from None
+    if params.ndim != 2 or params.shape[1] != 6:
+        raise OutOfRange(f"expected (N, 6) parameter rows, got shape {params.shape}")
+    if not np.isfinite(params).all():
+        raise OutOfRange("parameter rows must be finite")
+    superop = channel_superoperator(channel)
+    return _output_entropies(_outputs(superop, _projectors(state_vectors(params))))
 
 
 def min_entropy_bruteforce(
@@ -374,11 +434,9 @@ def min_entropy_bruteforce(
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
-    grid = state_vectors(_grid(g))
-    order = np.argsort(_output_entropies(_outputs(superop, grid)), kind="stable")
-    cells = grid[order[:_REFINEMENTS]]
-    gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
-    haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    grid, proj, cell_row, haar = _search_inputs(g, cfg.restarts, cfg.seed)
+    entropies = _output_entropies(_outputs(superop, proj))[cell_row]
+    cells = grid[np.argsort(entropies, kind="stable")[:_REFINEMENTS]]
     values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([cells, haar]), superop)
     rows = params_from_states(vecs)
     best_value, best_x = min(zip(values.tolist(), map(tuple, rows.tolist())))

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -201,6 +202,13 @@ class TestSearchConfig:
             SearchConfig(**{field: 2.5})
         SearchConfig(**{field: np.int64(2)})  # numpy integers are integers
 
+    def test_numpy_integers_are_stored_as_int(self):
+        cfg = SearchConfig(np.int64(2), np.int64(3), np.int64(1))
+        assert [type(v) for v in (cfg.grid_points_per_angle, cfg.restarts, cfg.seed)] == [int] * 3
+        assert cfg == SearchConfig(2, 3, 1) and hash(cfg) == hash(SearchConfig(2, 3, 1))
+        res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), cfg)
+        assert type(res.evaluations) is int
+
     @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
     @pytest.mark.parametrize("field", ["grid_points_per_angle", "restarts", "seed"])
     def test_validation_rejects_bool(self, field, value):
@@ -305,6 +313,24 @@ class TestBruteForce:
             rho = density_matrix(state_vector(type(random_params(rng))(*row)))
             lam = np.linalg.eigvalsh(apply_channel(ch, rho))
             assert entropy_bits(lam) == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            np.zeros(3),
+            np.zeros((2, 5)),
+            np.zeros((1, 1, 6)),
+            np.zeros((2, 0)),
+            [[0.0, 1.0, 2.0, 3.0, 4.0, float("nan")]],
+            [0.0, 1.0, float("inf"), 3.0, 4.0, 5.0],
+            [["a", "b", "c", "d", "e", "f"]],
+            [[0.0] * 6, [0.0] * 5],
+        ],
+        ids=["short-row", "five-columns", "3d", "no-columns", "nan", "inf", "strings", "ragged"],
+    )
+    def test_output_entropies_rejects_malformed_rows(self, params):
+        with pytest.raises(OutOfRange):
+            output_entropies(PauliChannel(ILLUSTRATION_Q, 0.5), params)
 
     @pytest.mark.parametrize("ch", _GRID_CHANNELS, ids=_channel_id)
     def test_superoperator_action(self, rng, ch):
@@ -473,14 +499,22 @@ class TestGridStage:
         assert np.array_equal(starts[0][: len(best)], state_vectors(grid[best]))
 
     def test_grid_stage_cost(self, monkeypatch):
-        # a count, not a time: rows diagonalized by the grid stage
+        # a count, not a time: the grid stage diagonalizes each bitwise-distinct
+        # projector |v><v| of a cell once, counted here from the cells (trig
+        # rounding decides which cells coincide, so the count is not pinned)
         rows = []
         entropies = oracle._output_entropies
         monkeypatch.setattr(
             oracle, "_output_entropies", lambda out: rows.append(len(out)) or entropies(out)
         )
-        min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5))
-        assert sum(rows) < 10_000
+        for g in (1, 2, 3, 4):
+            rows.clear()
+            min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), SearchConfig(g, restarts=1))
+            v = state_vectors(_grid(g))
+            proj = np.einsum("ni,nj->nij", v, v.conj()).reshape(len(v), -1)
+            distinct = len({row.tobytes() for row in proj})
+            assert rows == [distinct]
+            assert g == 1 or distinct < g**6
 
     def test_search_memory(self):
         # tracemalloc sees numpy's buffers, so this holds on any machine:
@@ -494,6 +528,52 @@ class TestGridStage:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+def _same_result(a, b):
+    """OracleResults equal field for field, bit for bit."""
+    a, b = asdict(a), asdict(b)
+    return a.pop("best_spectrum").tobytes() == b.pop("best_spectrum").tobytes() and a == b
+
+
+class TestSearchInputs:
+    def test_cached_arrays_refuse_writes(self):
+        for a in oracle._search_inputs(2, 3, 0):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_cells_map_to_their_projector_rows(self):
+        grid, proj, cell_row, haar = oracle._search_inputs(3, 5, 1)
+        cells = np.einsum("ni,nj->nij", grid, grid.conj()).reshape(-1, 16)
+        assert proj[cell_row].tobytes() == cells.tobytes()
+        # each row once, in order of first occurrence
+        assert len({row.tobytes() for row in proj}) == len(proj)
+        assert np.all(np.diff(np.unique(cell_row, return_index=True)[1]) > 0)
+        assert haar.shape == (5, 4) and np.abs(np.linalg.norm(haar, axis=1) - 1.0).max() <= 1e-15
+
+    def test_interleaved_searches_equal_fresh_ones(self):
+        channels = [PauliChannel(ILLUSTRATION_Q, 0.3), depolarizing(0.25, 0.6)]
+        configs = [SearchConfig(2, restarts=4, seed=3), SearchConfig(3, restarts=6, seed=5)]
+        runs = [(ch, cfg) for cfg in configs for ch in channels]
+        runs += [(ch, cfg) for ch in channels for cfg in configs]
+        interleaved = [min_entropy_bruteforce(ch, cfg) for ch, cfg in runs]
+        fresh = []
+        for ch, cfg in runs:
+            oracle._search_inputs.cache_clear()
+            fresh.append(min_entropy_bruteforce(ch, cfg))
+        assert all(_same_result(a, b) for a, b in zip(interleaved, fresh))
+
+    def test_verify_grid_equals_separate_searches(self):
+        base = PauliChannel(ILLUSTRATION_Q, 0.0)
+        cfg = SearchConfig(restarts=8, seed=2)
+        report = verify_optimality_grid(base, [0.1, 0.45, 0.9], cfg)
+        for point, mu in zip(report.points, [0.1, 0.45, 0.9]):
+            oracle._search_inputs.cache_clear()
+            res = min_entropy_bruteforce(base.with_mu(mu), cfg)
+            assert (point.s_oracle, point.s_product, point.s_bell, point.gap) == (
+                res.min_entropy, res.entropy_product, res.entropy_bell, res.gap_to_analytic
+            )
 
 
 class TestVerifyGrid:
