@@ -269,18 +269,14 @@ def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarra
     norm = np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
     v = x.view(complex) / norm
     lam, vecs = np.linalg.eigh(_outputs(superop, _projectors(v)))
-    np.maximum(lam, 1e-300, out=lam)
+    lam = np.maximum(lam, 1e-300)
     log_lam = np.log2(lam)
     entropy = np.maximum(-(lam * log_lam).sum(axis=1), 0.0)
-    vecs_h = np.conjugate(vecs.transpose(0, 2, 1), order="C")
-    vecs *= log_lam[:, None, :]
-    log_out = vecs @ vecs_h
+    log_out = (vecs * log_lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     pulled = (log_out.reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
-    grad = (pulled @ v[:, :, None])[:, :, 0]  # M v
-    expect = np.einsum("ni,ni->n", v.view(float), grad.view(float))  # Re <v|M v>
-    grad -= expect[:, None] * v
-    grad *= -2.0
-    grad /= norm
+    mv = (pulled @ v[:, :, None])[:, :, 0]
+    expect = np.einsum("ni,ni->n", v.view(float), mv.view(float))  # Re <v|M v>
+    grad = -2.0 * (mv - expect[:, None] * v) / norm
     return entropy, grad.view(float)
 
 
@@ -308,9 +304,7 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     that stops rows writes their x and f into the result once and drops
     them from the working arrays, so no pass touches a stopped row. Returns
     the final values, (R, 4) unit rows, rows evaluated and whether
-    _MAX_ITERS passes left a row live. A pass on which every live row
-    steps replaces the working arrays whole instead of scattering into them;
-    each row's arithmetic is the same either way.
+    _MAX_ITERS passes left a row live.
     """
     out_x = starts.copy().view(float)
     out_f, g = _entropy_and_gradient(out_x, superop)
@@ -330,24 +324,18 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
         ok = (ft < f) & (ft <= f + 1e-4 * t * slope)
         stop = ~ok & (t * slope >= -eps)  # stalled
         t[~(ok | stop)] *= 0.5
-        every = ok.all()
-        a = slice(None) if every else np.flatnonzero(ok)
+        a = np.flatnonzero(ok)
         xa, ga = trial[a], gt[a]
         s, y = xa - x[a], ga - g[a]
         sy = np.einsum("ni,ni->n", s, y)
-        r = 1.0 / np.where(sy > 0, sy, np.inf)  # r = 0 keeps H
+        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
         rs = (r[:, None] * s)[:, :, None]
         v = eye - rs * y[:, None, :]
-        ha = v @ h[a] @ np.ascontiguousarray(v.transpose(0, 2, 1))
-        ha += rs * s[:, None, :]
+        ha = v @ h[a] @ v.transpose(0, 2, 1) + rs * s[:, None, :]
         length = np.sqrt(np.einsum("ni,ni->n", xa, xa))[:, None]
         ga = ga * length
         pa = -(ha @ ga[:, :, None])[:, :, 0]
-        stepped = xa / length, ft[a], ga, ha, pa
-        if every:
-            x, f, g, h, p = stepped
-        else:
-            x[a], f[a], g[a], h[a], p[a] = stepped
+        x[a], f[a], g[a], h[a], p[a] = xa / length, ft[a], ga, ha, pa
         slope[a], t[a] = np.einsum("ni,ni->n", pa, ga), _first_step(pa)
         stop[a] = np.abs(ga).max(axis=1) <= _GRAD_TOL
         if stop.any():
@@ -369,11 +357,12 @@ def _grid(g: int) -> np.ndarray:
     return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-# Each entry holds at most ~1.4 MB, at the caps (4,096 cells and 1,000
-# restarts): 4,096 x 4 grid amplitudes, up to 4,096 x 16 projector rows and
-# 1,000 x 4 Haar starts, all complex, plus 4,096 row indices. So the cache
-# holds at most ~11 MB.
-@lru_cache(maxsize=8)
+# One entry: every caller keeps one SearchConfig per process (the CLI, a
+# verify_optimality_grid call, a benchmark workload). It holds at most
+# 1.41 MB, at the caps (4,096 cells and 1,000 restarts): 4,096 x 4 grid
+# amplitudes, up to 4,096 x 16 projector rows (2,485 distinct, 1.0 MB in all)
+# and 1,000 x 4 Haar starts, all complex, plus 4,096 row indices.
+@lru_cache(maxsize=1)
 def _search_inputs(g: int, restarts: int, seed: int) -> tuple[np.ndarray, ...]:
     """The channel-independent inputs of a search, as read-only arrays.
 

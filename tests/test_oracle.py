@@ -517,17 +517,33 @@ class TestGridStage:
             assert g == 1 or distinct < g**6
 
     def test_search_memory(self):
-        # tracemalloc sees numpy's buffers, so this holds on any machine:
-        # the default 729-cell grid with 64 random starts peaked at 0.43 MB,
-        # and a 4,096-cell grid, the cap, at 2.4 MB
-        ch = PauliChannel(ILLUSTRATION_Q, 0.5)
-        tracemalloc.start()
-        try:
-            min_entropy_bruteforce(ch)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 10e6
+        # tracemalloc sees numpy's buffers, so this holds on any machine; the
+        # cache is cleared first so the inputs' build is traced too. A cold
+        # default search (729 cells, 64 random starts) peaked at 1.4 MB
+        assert _cold_search_peak(SearchConfig()) < 10e6
+
+    def test_search_memory_at_the_caps(self):
+        # 4,096 cells and 1,000 random starts: a cold search peaked at 4.7 MB
+        assert _cold_search_peak(SearchConfig(4, restarts=1000)) < 10e6
+
+    def test_cached_inputs_at_the_caps(self):
+        # the one cache entry's arrays at 4,096 cells and 1,000 restarts hold
+        # 0.995 MB (2,485 distinct projector rows); 1.41 MB is the bound with
+        # a row for every cell
+        oracle._search_inputs.cache_clear()
+        held = sum(a.nbytes for a in oracle._search_inputs(4, 1000, 0))
+        assert held <= 1.41e6
+
+
+def _cold_search_peak(cfg):
+    """Peak traced bytes of one search on the illustration, its inputs built afresh."""
+    oracle._search_inputs.cache_clear()
+    tracemalloc.start()
+    try:
+        min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def _same_result(a, b):
