@@ -37,10 +37,13 @@ class PauliChannel:
     mu: float
 
     def __post_init__(self):
-        q = tuple(float(x) for x in self.q)
+        try:
+            q = tuple(float(x) for x in self.q)
+            mu = float(self.mu)
+        except (TypeError, ValueError, OverflowError):
+            raise OutOfRange("channel parameters must be real numbers") from None
         if len(q) != 4:
             raise OutOfRange(f"need 4 probabilities, got {len(q)}")
-        mu = float(self.mu)
         if not all(isfinite(x) for x in q) or not isfinite(mu):
             raise OutOfRange("channel parameters must be finite")
         if any(x < 0.0 or x > 1.0 for x in q):

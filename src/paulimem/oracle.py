@@ -6,11 +6,10 @@ from the Pauli weights, eigenvalues come from an in-house Jacobi
 diagonalizer (with LAPACK only in the vectorized search hot loop), and the
 minimum output entropy is found by a brute-force grid over the six-parameter
 pure-state family plus one batched BFGS refinement with the exact entropy
-gradient over the amplitudes themselves, from the best grid cells and from
-Haar-uniform random states; the best refined row is the result. The
-channel-independent inputs (the grid's states, its distinct projectors and
-the Haar starts) are built once per search config and reused, and each
-distinct grid state is diagonalized once per search.
+gradient over the amplitudes themselves, from the three best distinct grid
+states and from Haar-uniform random states; the best refined row is the
+result. The grid's distinct states and their projectors are built once per
+grid size and kept; each is diagonalized once per search.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ _JACOBI_SWEEPS = 60
 # rows for no gain; 1e-5 saves ~10% of the rows there but was ~3e-12 short
 # of the minimum on parameter rows, so 1e-7 keeps that margin.
 _GRAD_TOL = 1e-7
-# Best grid cells that seed a refinement start each.
+# Best distinct grid states that seed a refinement start each.
 _REFINEMENTS = 3
 # A search result below both closed-form entropies by more than this is a
 # finding against their optimality.
@@ -357,28 +356,21 @@ def _grid(g: int) -> np.ndarray:
     return np.stack([a.reshape(-1) for a in np.meshgrid(*axes, indexing="ij")], axis=1)
 
 
-# One entry: every caller keeps one SearchConfig per process (the CLI, a
-# verify_optimality_grid call, a benchmark workload). It holds at most
-# 1.41 MB, at the caps (4,096 cells and 1,000 restarts): 4,096 x 4 grid
-# amplitudes, up to 4,096 x 16 projector rows (2,485 distinct, 1.0 MB in all)
-# and 1,000 x 4 Haar starts, all complex, plus 4,096 row indices.
-@lru_cache(maxsize=1)
-def _search_inputs(g: int, restarts: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The channel-independent inputs of a search, as read-only arrays.
+# Keyed by g alone, which SearchConfig caps at 4 before anything is allocated:
+# at most four tables (1 + 27 + 379 + 2,485 distinct states, 0.93 MB in all).
+@lru_cache(maxsize=None)
+def _grid_states(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct grid states and their projector rows, as read-only arrays.
 
-    Returns the (g**6, 4) grid states, each bitwise-distinct grid projector
-    row |v><v| once (flattened to 16 entries, in order of first occurrence),
-    the index of every cell's row among them, and the (restarts, 4) Haar
-    starts: complex Gaussian 4-vectors drawn from the seed and normalized.
+    A cell's state is kept if its projector |v><v| (flattened to 16 entries)
+    is bitwise distinct from every earlier cell's; the states stay in cell
+    order, each as the amplitudes of its first cell.
     """
-    grid = state_vectors(_grid(g))
-    proj = _projectors(grid)
+    states = state_vectors(_grid(g))
+    proj = _projectors(states)
     keys = proj.view(np.dtype((np.void, proj.itemsize * 16)))[:, 0]
-    _, first, cell_key = np.unique(keys, return_index=True, return_inverse=True)
-    by_first = np.argsort(first)
-    gauss = np.random.default_rng(seed).standard_normal((restarts, 8)).view(complex)
-    haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    arrays = grid, proj[first[by_first]], np.argsort(by_first)[cell_key], haar
+    first = np.sort(np.unique(keys, return_index=True)[1])
+    arrays = states[first], proj[first]
     for a in arrays:
         a.setflags(write=False)
     return arrays
@@ -408,25 +400,27 @@ def min_entropy_bruteforce(
     """Global minimum of the output entropy over all two-qubit pure states.
 
     A full grid over the six parameters (theta on [0, pi], the others on
-    [0, 2 pi)), at most 4,096 cells evaluated in one batch, hands the
-    amplitudes of its best three cells, as a stable argsort of their output
-    entropies ranks them, to BFGS refinement with the exact entropy
-    gradient; `restarts` further starts are Haar-uniform random states
-    (normalized complex Gaussian 4-vectors) drawn from the seed alone,
-    blind to the channel and to the closed-form families. Only the refined
-    rows are mapped to the six parameters. The best of them wins, ties broken
-    by lexicographic parameter order, grid ties by row index; the search is
-    deterministic for a fixed config. evaluations counts all g**6 grid points
-    plus objective rows evaluated.
+    [0, 2 pi)), at most 4,096 cells, each distinct state evaluated once in
+    one batch, hands the amplitudes of its three best distinct states, as a
+    stable argsort of their output entropies ranks them (ties by first
+    cell), to BFGS refinement with the exact entropy gradient; `restarts`
+    further starts are Haar-uniform random states (normalized complex
+    Gaussian 4-vectors) drawn from the seed alone, blind to the channel and
+    to the closed-form families. Only the refined rows are mapped to the six
+    parameters. The best of them wins, ties broken by lexicographic parameter
+    order; the search is deterministic for a fixed config. evaluations counts
+    all g**6 grid points plus objective rows evaluated.
     """
     if cfg is None:
         cfg = SearchConfig()
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
-    grid, proj, cell_row, haar = _search_inputs(g, cfg.restarts, cfg.seed)
-    entropies = _output_entropies(_outputs(superop, proj))[cell_row]
-    cells = grid[np.argsort(entropies, kind="stable")[:_REFINEMENTS]]
-    values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([cells, haar]), superop)
+    states, proj = _grid_states(g)
+    entropies = _output_entropies(_outputs(superop, proj))
+    best = states[np.argsort(entropies, kind="stable")[:_REFINEMENTS]]
+    gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
+    haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([best, haar]), superop)
     rows = params_from_states(vecs)
     best_value, best_x = min(zip(values.tolist(), map(tuple, rows.tolist())))
     best_params = PureStateParams(*best_x)

@@ -140,7 +140,8 @@ def product_optimal_state(l: int, zeta: int = 1, xi: int = 1) -> np.ndarray:
     Both qubits sit in +-1 eigenstates of the same Pauli axis l; these are the
     entropy-minimizing inputs at low memory.
     """
-    if l not in (1, 2, 3):
+    # ints and numpy integers; not bools (True == 1), floats or strings
+    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l not in (1, 2, 3):
         raise BadIndex(f"axis index must be 1, 2 or 3, got {l!r}")
     if zeta not in (-1, 1) or xi not in (-1, 1):
         raise BadIndex(f"signs must be +1 or -1, got {(zeta, xi)!r}")

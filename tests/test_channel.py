@@ -72,6 +72,21 @@ class TestConstruction:
         with pytest.raises(OutOfRange):
             PauliChannel((0.25, 0.25, 0.25, 0.25), 1.2)
 
+    @pytest.mark.parametrize(
+        "q, mu",
+        [
+            ((0.2, "x", 0.3, 0.4), 0.5),
+            (ILLUSTRATION_Q, "x"),
+            (None, 0.5),
+            (ILLUSTRATION_Q, None),
+            (ILLUSTRATION_Q, 10**400),  # float() overflows
+        ],
+        ids=["q-text", "mu-text", "q-none", "mu-none", "mu-huge-int"],
+    )
+    def test_non_numbers_rejected(self, q, mu):
+        with pytest.raises(OutOfRange):
+            PauliChannel(q, mu)
+
     def test_joint_probabilities_normalized(self, rng):
         for _ in range(50):
             ch = random_channel(rng)

@@ -487,16 +487,26 @@ class TestGridStage:
 
     @pytest.mark.parametrize("g", [1, 2, 3, 4])
     @pytest.mark.parametrize("channel", _GRID_CHANNELS, ids=_channel_id)
-    def test_best_cells_are_a_stable_argsort_of_every_cell(self, monkeypatch, g, channel):
-        # the grid starts handed to the refinement come first, best cell first
+    def test_grid_starts_are_the_best_distinct_states(self, monkeypatch, g, channel):
+        # the grid starts handed to the refinement come first: the first
+        # _REFINEMENTS distinct projectors of a stable argsort over every cell,
+        # each as its first cell's amplitudes; the Haar starts follow
         starts = []
         refine = oracle._refine
         monkeypatch.setattr(oracle, "_refine", lambda x, m: starts.append(x) or refine(x, m))
-        min_entropy_bruteforce(channel, SearchConfig(grid_points_per_angle=g, restarts=1))
-        grid = _grid(g)
-        best = np.argsort(output_entropies(channel, grid), kind="stable")[: min(3, g**6)]
-        assert len(starts) == 1 and len(starts[0]) == len(best) + 1
-        assert np.array_equal(starts[0][: len(best)], state_vectors(grid[best]))
+        cfg = SearchConfig(grid_points_per_angle=g, restarts=2, seed=g)
+        min_entropy_bruteforce(channel, cfg)
+        cells = state_vectors(_grid(g))
+        proj = oracle._projectors(cells)
+        best, seen = [], set()
+        for k in np.argsort(output_entropies(channel, _grid(g)), kind="stable").tolist():
+            if proj[k].tobytes() not in seen:
+                seen.add(proj[k].tobytes())
+                best.append(k)
+        best = best[: oracle._REFINEMENTS]
+        gauss = np.random.default_rng(cfg.seed).standard_normal((2, 8)).view(complex)
+        expected = np.vstack([cells[best], gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
+        assert len(starts) == 1 and starts[0].tobytes() == expected.tobytes()
 
     def test_grid_stage_cost(self, monkeypatch):
         # a count, not a time: the grid stage diagonalizes each bitwise-distinct
@@ -518,26 +528,25 @@ class TestGridStage:
 
     def test_search_memory(self):
         # tracemalloc sees numpy's buffers, so this holds on any machine; the
-        # cache is cleared first so the inputs' build is traced too. A cold
-        # default search (729 cells, 64 random starts) peaked at 1.4 MB
+        # cache is cleared first so the grid table's build is traced too. A
+        # cold default search (729 cells, 64 random starts) peaked at 1.4 MB
         assert _cold_search_peak(SearchConfig()) < 10e6
 
     def test_search_memory_at_the_caps(self):
         # 4,096 cells and 1,000 random starts: a cold search peaked at 4.7 MB
         assert _cold_search_peak(SearchConfig(4, restarts=1000)) < 10e6
 
-    def test_cached_inputs_at_the_caps(self):
-        # the one cache entry's arrays at 4,096 cells and 1,000 restarts hold
-        # 0.995 MB (2,485 distinct projector rows); 1.41 MB is the bound with
-        # a row for every cell
-        oracle._search_inputs.cache_clear()
-        held = sum(a.nbytes for a in oracle._search_inputs(4, 1000, 0))
-        assert held <= 1.41e6
+    def test_cached_tables_at_the_cap(self):
+        # one table per grid size, at most four: 1 + 27 + 379 + 2,485
+        # distinct states held 0.93 MB in all
+        oracle._grid_states.cache_clear()
+        held = sum(a.nbytes for g in (1, 2, 3, 4) for a in oracle._grid_states(g))
+        assert held <= 1e6
 
 
 def _cold_search_peak(cfg):
-    """Peak traced bytes of one search on the illustration, its inputs built afresh."""
-    oracle._search_inputs.cache_clear()
+    """Peak traced bytes of one search on the illustration, its grid table built afresh."""
+    oracle._grid_states.cache_clear()
     tracemalloc.start()
     try:
         min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), cfg)
@@ -552,21 +561,25 @@ def _same_result(a, b):
     return a.pop("best_spectrum").tobytes() == b.pop("best_spectrum").tobytes() and a == b
 
 
-class TestSearchInputs:
-    def test_cached_arrays_refuse_writes(self):
-        for a in oracle._search_inputs(2, 3, 0):
+class TestGridStates:
+    def test_tables_refuse_writes(self):
+        for a in oracle._grid_states(2):
             assert not a.flags.writeable
             with pytest.raises(ValueError):
                 a[0] = a[0]
 
-    def test_cells_map_to_their_projector_rows(self):
-        grid, proj, cell_row, haar = oracle._search_inputs(3, 5, 1)
-        cells = np.einsum("ni,nj->nij", grid, grid.conj()).reshape(-1, 16)
-        assert proj[cell_row].tobytes() == cells.tobytes()
-        # each row once, in order of first occurrence
-        assert len({row.tobytes() for row in proj}) == len(proj)
-        assert np.all(np.diff(np.unique(cell_row, return_index=True)[1]) > 0)
-        assert haar.shape == (5, 4) and np.abs(np.linalg.norm(haar, axis=1) - 1.0).max() <= 1e-15
+    @pytest.mark.parametrize("g", [1, 2, 3, 4])
+    def test_each_cell_maps_to_one_distinct_state(self, g):
+        states, proj = oracle._grid_states(g)
+        assert proj.tobytes() == oracle._projectors(states).tobytes()
+        cells = state_vectors(_grid(g))
+        keys = [row.tobytes() for row in oracle._projectors(cells)]
+        # each distinct projector once, as its first cell's state, in cell order
+        first = {}
+        for k, key in enumerate(keys):
+            first.setdefault(key, k)
+        assert [row.tobytes() for row in proj] == list(first)
+        assert states.tobytes() == cells[list(first.values())].tobytes()
 
     def test_interleaved_searches_equal_fresh_ones(self):
         channels = [PauliChannel(ILLUSTRATION_Q, 0.3), depolarizing(0.25, 0.6)]
@@ -576,7 +589,7 @@ class TestSearchInputs:
         interleaved = [min_entropy_bruteforce(ch, cfg) for ch, cfg in runs]
         fresh = []
         for ch, cfg in runs:
-            oracle._search_inputs.cache_clear()
+            oracle._grid_states.cache_clear()
             fresh.append(min_entropy_bruteforce(ch, cfg))
         assert all(_same_result(a, b) for a, b in zip(interleaved, fresh))
 
@@ -585,7 +598,7 @@ class TestSearchInputs:
         cfg = SearchConfig(restarts=8, seed=2)
         report = verify_optimality_grid(base, [0.1, 0.45, 0.9], cfg)
         for point, mu in zip(report.points, [0.1, 0.45, 0.9]):
-            oracle._search_inputs.cache_clear()
+            oracle._grid_states.cache_clear()
             res = min_entropy_bruteforce(base.with_mu(mu), cfg)
             assert (point.s_oracle, point.s_product, point.s_bell, point.gap) == (
                 res.min_entropy, res.entropy_product, res.entropy_bell, res.gap_to_analytic
@@ -687,6 +700,18 @@ def test_default_search_reaches_the_hard_set_minimum(seed):
         if res.gap_to_analytic > 1e-9 or res.budget_exceeded:
             misses.append((label, res.gap_to_analytic, res.budget_exceeded))
     assert misses == []
+
+
+def test_no_search_refines_one_grid_state_twice(monkeypatch):
+    # at 3-ml the three best cells, 706, 715 and 724, are one projector
+    starts = []
+    refine = oracle._refine
+    monkeypatch.setattr(oracle, "_refine", lambda x, m: starts.append(x) or refine(x, m))
+    cfg = SearchConfig()
+    min_entropy_bruteforce(dict(_hard_set())["3-ml"], cfg)
+    grid_starts = starts[0][: len(starts[0]) - cfg.restarts]
+    assert len(grid_starts) == oracle._REFINEMENTS
+    assert len({row.tobytes() for row in oracle._projectors(grid_starts)}) == len(grid_starts)
 
 
 @pytest.mark.parametrize("seed", range(4))

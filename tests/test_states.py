@@ -225,6 +225,15 @@ class TestOptimalFamilies:
         with pytest.raises(BadIndex):
             product_optimal_state(1, 2, 1)
 
+    @pytest.mark.parametrize("l", [True, np.True_, 1.0, "1"], ids=repr)
+    def test_product_axis_must_be_an_integer(self, l):
+        # True == 1, and SIGMA[True] would read as a new axis
+        with pytest.raises(BadIndex):
+            product_optimal_state(l)
+
+    def test_product_axis_takes_numpy_integers(self):
+        assert np.array_equal(product_optimal_state(np.int64(2)), product_optimal_state(2))
+
     def test_bell_phi_plus(self):
         v = np.array([1, 0, 0, 1]) / math.sqrt(2)
         assert np.abs(bell_state(1, -1, 1) - np.outer(v, v)).max() < 1e-15

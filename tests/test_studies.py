@@ -21,3 +21,16 @@ def test_search_cost_prints_one_json_line(capsys):
     assert set(record) == {"study", "size", "seed", "searches", "passes", "rows", "budget_exceeded"}
     for key in ("passes", "rows"):
         assert set(record[key]) == {"q1", "median", "q3"}
+
+
+def test_trap_rates_prints_one_json_line(capsys):
+    # the keys only, at the smallest size: 5 points on one seed
+    assert _load("trap_rates").main(["--size", "1", "--seeds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert set(record) == {
+        "study", "size", "seeds", "points", "misses", "trapped_starts", "haar_starts",
+        "trapped_share", "points_with_trapped_starts", "worst_point",
+    }
+    assert set(record["worst_point"]) == {"channel", "mu", "share"}
