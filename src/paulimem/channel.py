@@ -66,13 +66,21 @@ class PauliChannel:
         return (1.0 - self.mu) * np.outer(q, q) + self.mu * np.diag(q)
 
 
+def _family_parameter(p) -> float:
+    """p as a float; anything float() refuses raises OutOfRange, as PauliChannel does."""
+    try:
+        return float(p)
+    except (TypeError, ValueError, OverflowError):
+        raise OutOfRange("family parameter p must be a real number") from None
+
+
 def depolarizing(p: float, mu: float) -> PauliChannel:
     """Depolarizing channel q = (1 - p, p/3, p/3, p/3).
 
     p is restricted to [0, 3/4], the range where the identity remains the
     dominant outcome.
     """
-    p = float(p)
+    p = _family_parameter(p)
     if not 0.0 <= p <= 0.75:
         raise OutOfRange(f"depolarizing parameter outside [0, 3/4]: {p}")
     third = p / 3.0
@@ -81,7 +89,7 @@ def depolarizing(p: float, mu: float) -> PauliChannel:
 
 def mp_channel(p: float, mu: float) -> PauliChannel:
     """One-parameter family q = (p, 1/2 - p, 1/2 - p, p) with p in [0, 1/2]."""
-    p = float(p)
+    p = _family_parameter(p)
     if not 0.0 <= p <= 0.5:
         raise OutOfRange(f"mp parameter outside [0, 1/2]: {p}")
     return PauliChannel((p, 0.5 - p, 0.5 - p, p), mu)

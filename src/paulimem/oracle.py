@@ -173,9 +173,11 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
 def eig_hermitian4(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a 4x4 Hermitian matrix, descending, by cyclic Jacobi.
 
-    Each off-diagonal entry is annihilated with a phased Givens rotation;
-    the off-diagonal mass shrinks quadratically, so a handful of sweeps
-    reaches _JACOBI_TOL. _JACOBI_SWEEPS caps runaway iteration.
+    Each off-diagonal entry is annihilated with a phased Givens rotation,
+    applied in place, in Python complex arithmetic, to rows and columns p and
+    q only: no LAPACK, so this check stays independent of the search. The
+    off-diagonal mass shrinks quadratically, so a handful of sweeps reaches
+    _JACOBI_TOL. _JACOBI_SWEEPS caps runaway iteration.
     """
     a = np.asarray(m, dtype=complex)
     if a.shape != (4, 4):
@@ -185,31 +187,32 @@ def eig_hermitian4(m: np.ndarray) -> np.ndarray:
         raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
     a = (a + a.conj().T) / 2.0
     scale = max(float(np.abs(a).max()), 1.0)
-    off_mask = ~np.eye(4, dtype=bool)
+    a = a.tolist()
     for _ in range(_JACOBI_SWEEPS):
-        off = sqrt(float((np.abs(a[off_mask]) ** 2).sum()))
+        off = sqrt(sum(abs(a[i][j]) ** 2 for i in range(4) for j in range(4) if i != j))
         if off <= _JACOBI_TOL * scale:
             break
         for p in range(3):
             for q in range(p + 1, 4):
-                b = a[p, q]
+                b = a[p][q]
                 mag = abs(b)
                 if mag <= 0.1 * _JACOBI_TOL * scale:
                     continue  # already negligible against the convergence test
-                phase = b / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                tau = (a[q][q].real - a[p][p].real) / (2.0 * mag)
                 t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + hypot(1.0, tau))
                 c = 1.0 / sqrt(1.0 + t * t)
-                s = t * c
-                rot = np.eye(4, dtype=complex)
-                rot[p, p] = c
-                rot[q, q] = c
-                rot[p, q] = s * phase
-                rot[q, p] = -s * np.conj(phase)
-                a = rot.conj().T @ a @ rot
+                u = t * c * (b / mag)  # rotation entry (p, q); entry (q, p) is -conj(u)
+                uc = u.conjugate()
+                for row in a:  # a @ rot
+                    x, y = row[p], row[q]
+                    row[p], row[q] = c * x - uc * y, u * x + c * y
+                rp, rq = a[p], a[q]
+                for j in range(4):  # rot^H @ a
+                    x, y = rp[j], rq[j]
+                    rp[j], rq[j] = c * x - u * y, uc * x + c * y
     else:
         raise ArithmeticError("Jacobi sweeps did not converge")
-    return np.sort(np.diag(a).real)[::-1]
+    return np.sort([a[i][i].real for i in range(4)])[::-1]
 
 
 def a2_coefficient(cp, w: np.ndarray) -> tuple[float, float, float, float]:
@@ -300,8 +303,11 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
     t |p.g| falls below float64 resolution with no decrease found, as at a
     minimum. The working arrays hold live rows only, with idx mapping each
     back to its start; a row converged on entry never enters them. A pass
-    that stops rows writes their x and f into the result once and drops
-    them from the working arrays, so no pass touches a stopped row. Returns
+    updates the rows that step through a full slice when every live row
+    steps, as nearly all do, and through their indices otherwise; it halves
+    every t, since a row that steps sets its own. A pass that stops rows
+    writes their x and f into the result once and drops them from the
+    working arrays, so no pass touches a stopped row. Returns
     the final values, (R, 4) unit rows, rows evaluated and whether
     _MAX_ITERS passes left a row live.
     """
@@ -322,12 +328,12 @@ def _refine(starts: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.nda
         evaluations += idx.size
         ok = (ft < f) & (ft <= f + 1e-4 * t * slope)
         stop = ~ok & (t * slope >= -eps)  # stalled
-        t[~(ok | stop)] *= 0.5
-        a = np.flatnonzero(ok)
+        t *= 0.5  # rows that step set a new t below, stopped rows leave
+        a = slice(None) if ok.all() else np.flatnonzero(ok)
         xa, ga = trial[a], gt[a]
         s, y = xa - x[a], ga - g[a]
         sy = np.einsum("ni,ni->n", s, y)
-        r = np.divide(1.0, sy, out=np.zeros_like(sy), where=sy > 0)  # r = 0 keeps H
+        r = 1.0 / np.where(sy > 0, sy, np.inf)  # r = 0 keeps H
         rs = (r[:, None] * s)[:, :, None]
         v = eye - rs * y[:, None, :]
         ha = v @ h[a] @ v.transpose(0, 2, 1) + rs * s[:, None, :]
@@ -406,9 +412,10 @@ def min_entropy_bruteforce(
     cell), to BFGS refinement with the exact entropy gradient; `restarts`
     further starts are Haar-uniform random states (normalized complex
     Gaussian 4-vectors) drawn from the seed alone, blind to the channel and
-    to the closed-form families. Only the refined rows are mapped to the six
-    parameters. The best of them wins, ties broken by lexicographic parameter
-    order; the search is deterministic for a fixed config. evaluations counts
+    to the closed-form families. The refined row with the lowest value wins;
+    only the rows tied at that value are mapped to the six parameters, and
+    the lexicographically smallest parameter row among them breaks the tie,
+    so the search is deterministic for a fixed config. evaluations counts
     all g**6 grid points plus objective rows evaluated.
     """
     if cfg is None:
@@ -421,9 +428,9 @@ def min_entropy_bruteforce(
     gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
     haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
     values, vecs, refine_evals, budget_exceeded = _refine(np.vstack([best, haar]), superop)
-    rows = params_from_states(vecs)
-    best_value, best_x = min(zip(values.tolist(), map(tuple, rows.tolist())))
-    best_params = PureStateParams(*best_x)
+    best_value = float(values.min())
+    tied = params_from_states(vecs[values == best_value])
+    best_params = PureStateParams(*min(map(tuple, tied.tolist())))
     spectrum = eig_hermitian4(
         output_matrix(channel, pauli_weights(density_matrix(state_vector(best_params))))
     )

@@ -134,16 +134,20 @@ def alpha_beta(params: PureStateParams) -> tuple[float, float, float]:
     return transverse + w33 * w33, transverse - w33 * w33, beta
 
 
+def _integer_in(x, allowed: tuple[int, ...]) -> bool:
+    """x is an int or numpy integer in allowed; not a bool (True == 1), float or string."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x in allowed
+
+
 def product_optimal_state(l: int, zeta: int = 1, xi: int = 1) -> np.ndarray:
     """(1/4)(sigma_0 + zeta sigma_l) x (sigma_0 + xi sigma_l).
 
     Both qubits sit in +-1 eigenstates of the same Pauli axis l; these are the
     entropy-minimizing inputs at low memory.
     """
-    # ints and numpy integers; not bools (True == 1), floats or strings
-    if isinstance(l, bool) or not isinstance(l, (int, np.integer)) or l not in (1, 2, 3):
+    if not _integer_in(l, (1, 2, 3)):
         raise BadIndex(f"axis index must be 1, 2 or 3, got {l!r}")
-    if zeta not in (-1, 1) or xi not in (-1, 1):
+    if not all(_integer_in(s, (-1, 1)) for s in (zeta, xi)):
         raise BadIndex(f"signs must be +1 or -1, got {(zeta, xi)!r}")
     a = (SIGMA[0] + zeta * SIGMA[l]) / 2.0
     b = (SIGMA[0] + xi * SIGMA[l]) / 2.0
@@ -157,7 +161,7 @@ def bell_state(eta: int, nu: int, xi: int) -> np.ndarray:
     Bell states; product +1 would give an operator that is not a pure-state
     projector.
     """
-    if eta not in (-1, 1) or nu not in (-1, 1) or xi not in (-1, 1):
+    if not all(_integer_in(s, (-1, 1)) for s in (eta, nu, xi)):
         raise BadIndex(f"signs must be +1 or -1, got {(eta, nu, xi)!r}")
     if eta * nu * xi != -1:
         raise NotPure(f"sign pattern {(eta, nu, xi)} has product +1, not a pure state")

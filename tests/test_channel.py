@@ -117,6 +117,13 @@ class TestFamilies:
         with pytest.raises(OutOfRange):
             mp_channel(0.6, 0.0)
 
+    @pytest.mark.parametrize("family", [depolarizing, mp_channel], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("p", ["x", None, 10**400], ids=["text", "none", "huge-int"])
+    def test_non_number_p_rejected(self, family, p):
+        # float(p) raises ValueError, TypeError and OverflowError for these
+        with pytest.raises(OutOfRange):
+            family(p, 0.5)
+
 
 class TestEpsilonVector:
     def test_illustration(self):

@@ -300,6 +300,19 @@ class TestBruteForce:
         assert res.budget_exceeded
         assert np.isfinite(res.min_entropy)  # best-so-far is still returned
 
+    def test_tie_at_the_minimum_goes_to_the_smaller_angles(self, monkeypatch):
+        # |10> and |01> tie at the lowest value, |00> is higher but its
+        # angles (all zero) sort before both; |01> has theta = 0, |10> pi
+        vecs = np.eye(4, dtype=complex)[[0, 2, 1]]
+        values = np.array([0.5, 0.25, 0.25])
+        monkeypatch.setattr(oracle, "_refine", lambda x, m: (values, vecs, 3, False))
+        res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), SearchConfig(restarts=1))
+        high, tied_late, tied_early = map(tuple, params_from_states(vecs).tolist())
+        assert high < tied_early < tied_late
+        assert res.best_params.as_array().tolist() == list(tied_early)
+        assert res.min_entropy == 0.25
+        assert res.evaluations == 3**6 + 3
+
     def test_best_spectrum_consistent(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.6)
         res = min_entropy_bruteforce(ch, SearchConfig(grid_points_per_angle=4, restarts=4))

@@ -234,6 +234,29 @@ class TestOptimalFamilies:
     def test_product_axis_takes_numpy_integers(self):
         assert np.array_equal(product_optimal_state(np.int64(2)), product_optimal_state(2))
 
+    @pytest.mark.parametrize("sign", [True, np.True_, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("where", range(2), ids=["zeta", "xi"])
+    def test_product_signs_must_be_integers(self, sign, where):
+        # True == 1 and 1.0 == 1, so a membership test alone would let them in
+        signs = [1, 1]
+        signs[where] = sign
+        with pytest.raises(BadIndex):
+            product_optimal_state(3, *signs)
+
+    @pytest.mark.parametrize("sign", [True, np.True_, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("where", range(3), ids=["eta", "nu", "xi"])
+    def test_bell_signs_must_be_integers(self, sign, where):
+        signs = [1, 1, 1]
+        signs[(where + 1) % 3] = -1
+        signs[where] = sign  # read as +1, a Bell pattern with product -1
+        with pytest.raises(BadIndex):
+            bell_state(*signs)
+
+    def test_signs_take_numpy_integers(self):
+        one, minus = np.int64(1), np.int32(-1)
+        assert np.array_equal(product_optimal_state(2, minus, one), product_optimal_state(2, -1, 1))
+        assert np.array_equal(bell_state(one, minus, one), bell_state(1, -1, 1))
+
     def test_bell_phi_plus(self):
         v = np.array([1, 0, 0, 1]) / math.sqrt(2)
         assert np.abs(bell_state(1, -1, 1) - np.outer(v, v)).max() < 1e-15
