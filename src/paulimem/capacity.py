@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .channel import ChannelParams, PauliChannel, Thresholds, _capacity_inputs, apply_channel
-from .errors import InvalidSpectrum, InvalidState, OutOfRange
+from .errors import InvalidSpectrum, InvalidState, OutOfRange, checked_array
 from .pauli import PAULI2
 
 _SPECTRUM_TOL = 1e-9
@@ -92,8 +92,6 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
     if not good.all():
         i = np.unravel_index(np.argmin(good), good.shape)
-        if np.isnan(low[i]):  # min propagates NaN
-            raise InvalidSpectrum("eigenvalue is NaN")
         if low[i] < -_SPECTRUM_TOL:
             raise InvalidSpectrum(f"negative eigenvalue {float(low[i])!r}")
         raise InvalidSpectrum(f"eigenvalues sum to {float(total[i])!r}, not 1")
@@ -110,9 +108,7 @@ def entropy_bits(lambdas) -> float:
     Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
     more negative, or a total away from 1 by more than 1e-9 is rejected.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if lam.shape != (4,):
-        raise InvalidSpectrum(f"expected 4 eigenvalues, got shape {lam.shape}")
+    lam = checked_array(lambdas, (4,), float, InvalidSpectrum, "eigenvalue")
     return float(_entropies(lam[None])[0])
 
 
@@ -327,6 +323,7 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
 
 def _ensemble_outputs(channel: PauliChannel, rho_star: np.ndarray) -> np.ndarray:
     """(16, 4, 4) outputs of the sixteen Pauli-conjugated copies of rho_star."""
+    rho_star = checked_array(rho_star, (4, 4), complex, InvalidState, "density operator")
     return np.stack([apply_channel(channel, u @ rho_star @ u) for u in PAULI2.reshape(16, 4, 4)])
 
 

@@ -14,7 +14,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .errors import InvalidState, NonNormalized, OutOfRange
+from .errors import InvalidState, NonNormalized, OutOfRange, checked_array
 from .pauli import PAULI2, PRODUCT_INDEX, SIGN_TABLE
 
 _SUM_TOL = 1e-9
@@ -243,11 +243,8 @@ def apply_channel(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
     rho must be Hermitian with unit trace; the output is again Hermitian,
     unit-trace and positive semidefinite.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise InvalidState(f"expected a 4x4 density operator, got shape {rho.shape}")
+    rho = checked_array(rho, (4, 4), complex, InvalidState, "density operator")
     tr = complex(np.trace(rho))
-    # Written so that NaN, for which every comparison is false, fails them.
     if not abs(tr - 1.0) <= _TRACE_TOL:
         raise InvalidState(f"trace {tr}, expected 1")
     if not np.abs(rho - rho.conj().T).max() <= _TRACE_TOL:
@@ -266,7 +263,7 @@ def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
 
     Expects the weights of a unit-trace operator (w[0, 0] = 1).
     """
-    return epsilon_matrix(channel) * np.asarray(w, dtype=float)
+    return epsilon_matrix(channel) * checked_array(w, (4, 4), float, InvalidState, "weight")
 
 
 def _config_number(value, key: str) -> float:

@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import asdict, astuple, dataclass
 from functools import lru_cache
 from math import hypot, sqrt
-from operator import index
 
 import numpy as np
 
 from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use, csv_text, json_text
 from .channel import PauliChannel, epsilon_matrix, epsilon_vector
-from .errors import NonHermitian, OutOfRange
+from .errors import InvalidState, NonHermitian, OutOfRange, checked_array, is_integer
 from .pauli import PAULI2
 from .states import (
     PureStateParams,
@@ -91,14 +90,9 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("grid_points_per_angle", "restarts", "seed"):
-            value = getattr(self, name)
-            try:
-                if isinstance(value, (bool, np.bool_)):  # index(True) is 1
-                    raise TypeError
-                # ints and numpy integers, stored as int; not floats, not strings
-                object.__setattr__(self, name, index(value))
-            except TypeError:
-                raise OutOfRange(f"{name} must be an integer, got {value!r}") from None
+            if not is_integer(value := getattr(self, name)):
+                raise OutOfRange(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))  # numpy integers are stored as int
         for name in ("grid_points_per_angle", "restarts"):
             if getattr(self, name) < 1:
                 raise OutOfRange(f"{name} must be positive")
@@ -137,9 +131,9 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
     sigma_0/sigma_3 weights, the single-flip entries the sigma_1/sigma_2
     edge weights, and the double-flip entries the transverse block.
     """
-    w = np.asarray(w, dtype=float)
-    eps = epsilon_vector(channel)
-    e = epsilon_matrix(channel)
+    w = checked_array(w, (4, 4), float, InvalidState, "weight").tolist()
+    eps = epsilon_vector(channel).tolist()
+    e = epsilon_matrix(channel).tolist()
     out = np.empty((4, 4), dtype=complex)
     for f in (0, 1):
         sf = -1.0 if f else 1.0
@@ -147,25 +141,25 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
             ss = -1.0 if s else 1.0
             row = 2 * f + s
             out[row, row] = 0.25 * (
-                1.0 + sf * eps[3] * w[3, 0] + ss * eps[3] * w[0, 3] + sf * ss * e[3, 3] * w[3, 3]
+                1.0 + sf * eps[3] * w[3][0] + ss * eps[3] * w[0][3] + sf * ss * e[3][3] * w[3][3]
             )
             out[row, 2 * (1 - f) + s] = 0.25 * (
-                eps[1] * w[1, 0]
-                - 1j * sf * eps[2] * w[2, 0]
-                + ss * e[1, 3] * w[1, 3]
-                - 1j * sf * ss * e[2, 3] * w[2, 3]
+                eps[1] * w[1][0]
+                - 1j * sf * eps[2] * w[2][0]
+                + ss * e[1][3] * w[1][3]
+                - 1j * sf * ss * e[2][3] * w[2][3]
             )
             out[row, 2 * f + (1 - s)] = 0.25 * (
-                eps[1] * w[0, 1]
-                - 1j * ss * eps[2] * w[0, 2]
-                + sf * e[1, 3] * w[3, 1]
-                - 1j * sf * ss * e[2, 3] * w[3, 2]
+                eps[1] * w[0][1]
+                - 1j * ss * eps[2] * w[0][2]
+                + sf * e[1][3] * w[3][1]
+                - 1j * sf * ss * e[2][3] * w[3][2]
             )
             out[row, 2 * (1 - f) + (1 - s)] = 0.25 * (
-                e[1, 1] * w[1, 1]
-                - 1j * sf * e[2, 1] * w[2, 1]
-                - 1j * ss * e[1, 2] * w[1, 2]
-                - sf * ss * e[2, 2] * w[2, 2]
+                e[1][1] * w[1][1]
+                - 1j * sf * e[2][1] * w[2][1]
+                - 1j * ss * e[1][2] * w[1][2]
+                - sf * ss * e[2][2] * w[2][2]
             )
     return out
 
@@ -179,11 +173,9 @@ def eig_hermitian4(m: np.ndarray) -> np.ndarray:
     off-diagonal mass shrinks quadratically, so a handful of sweeps reaches
     _JACOBI_TOL. _JACOBI_SWEEPS caps runaway iteration.
     """
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (4, 4):
-        raise NonHermitian(f"expected a 4x4 matrix, got shape {a.shape}")
+    a = checked_array(m, (4, 4), complex, NonHermitian, "matrix")
     asym = np.abs(a - a.conj().T).max()
-    if not asym <= _HERM_TOL:  # NaN fails it
+    if not asym <= _HERM_TOL:
         raise NonHermitian(f"asymmetry {asym:.3e} exceeds tolerance")
     a = (a + a.conj().T) / 2.0
     scale = max(float(np.abs(a).max()), 1.0)
@@ -226,7 +218,7 @@ def a2_coefficient(cp, w: np.ndarray) -> tuple[float, float, float, float]:
 
     Returns (a2, A, B, C).
     """
-    w = np.asarray(w, dtype=float)
+    w = checked_array(w, (4, 4), float, InvalidState, "weight")
     l, m, s = cp.ordering
     e = cp.eps2
     ev = cp.eps
@@ -392,10 +384,6 @@ def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
         params = np.atleast_2d(np.asarray(params, dtype=float))
     except (TypeError, ValueError):
         raise OutOfRange("parameter rows must be numbers") from None
-    if params.ndim != 2 or params.shape[1] != 6:
-        raise OutOfRange(f"expected (N, 6) parameter rows, got shape {params.shape}")
-    if not np.isfinite(params).all():
-        raise OutOfRange("parameter rows must be finite")
     superop = channel_superoperator(channel)
     return _output_entropies(_outputs(superop, _projectors(state_vectors(params))))
 

@@ -12,7 +12,8 @@ from math import cos, sin
 
 import numpy as np
 
-from .errors import BadIndex, NonHermitian, NonNormalized, NotPure
+from .errors import BadIndex, InvalidState, NonHermitian, NonNormalized, NotPure, OutOfRange
+from .errors import checked_array, is_integer
 from .pauli import PAULI2, SIGMA
 
 _NORM_TOL = 1e-9
@@ -66,6 +67,7 @@ def amplitudes_from_angles(theta, phi, psi) -> tuple:
 def state_vectors(params: np.ndarray) -> np.ndarray:
     """(N, 6) rows (theta, phi, psi, phi11, phi10, phi01) -> (N, 4) amplitudes
     over |00>, |01>, |10>, |11> (unit norm)."""
+    params = checked_array(params, (None, 6), float, OutOfRange, "parameter")
     c00, c11, c10, c01 = amplitudes_from_angles(params[:, 0], params[:, 1], params[:, 2])
     v = np.empty((params.shape[0], 4), dtype=complex)
     v[:, 0] = c00
@@ -82,9 +84,9 @@ def state_vector(params: PureStateParams) -> np.ndarray:
 
 def density_matrix(vec: np.ndarray) -> np.ndarray:
     """Rank-1 projector |v><v| of a unit vector."""
-    v = np.asarray(vec, dtype=complex)
+    v = checked_array(vec, (4,), complex, NonNormalized, "state vector")
     norm = np.linalg.norm(v)
-    if not abs(norm - 1.0) <= _NORM_TOL:  # NaN fails it
+    if not abs(norm - 1.0) <= _NORM_TOL:
         raise NonNormalized(f"state vector has norm {float(norm)!r}")
     return np.outer(v, v.conj())
 
@@ -97,18 +99,17 @@ def pauli_weights(rho: np.ndarray) -> np.ndarray:
     dropped, so a non-Hermitian input fails loudly instead of corrupting the
     weights.
     """
-    rho = np.asarray(rho, dtype=complex)
+    rho = checked_array(rho, (4, 4), complex, NonHermitian, "density operator")
     traces = np.einsum("nkab,ba->nk", PAULI2, rho)
     worst = np.abs(traces.imag).max()
-    if not worst <= _IMAG_TOL:  # NaN fails it
-        what = "is NaN" if np.isnan(worst) else f"imaginary part {worst:.3e} exceeds tolerance"
-        raise NonHermitian(f"weight {what}")
+    if not worst <= _IMAG_TOL:
+        raise NonHermitian(f"weight imaginary part {worst:.3e} exceeds tolerance")
     return traces.real.copy()
 
 
 def weights_to_density(w: np.ndarray) -> np.ndarray:
     """Reassemble (1/4) sum_nk w_nk sigma_n x sigma_k; inverse of pauli_weights."""
-    w = np.asarray(w, dtype=float)
+    w = checked_array(w, (4, 4), float, InvalidState, "weight")
     return np.einsum("nk,nkab->ab", w, PAULI2) / 4.0
 
 
@@ -134,20 +135,15 @@ def alpha_beta(params: PureStateParams) -> tuple[float, float, float]:
     return transverse + w33 * w33, transverse - w33 * w33, beta
 
 
-def _integer_in(x, allowed: tuple[int, ...]) -> bool:
-    """x is an int or numpy integer in allowed; not a bool (True == 1), float or string."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x in allowed
-
-
 def product_optimal_state(l: int, zeta: int = 1, xi: int = 1) -> np.ndarray:
     """(1/4)(sigma_0 + zeta sigma_l) x (sigma_0 + xi sigma_l).
 
     Both qubits sit in +-1 eigenstates of the same Pauli axis l; these are the
     entropy-minimizing inputs at low memory.
     """
-    if not _integer_in(l, (1, 2, 3)):
+    if not (is_integer(l) and l in (1, 2, 3)):
         raise BadIndex(f"axis index must be 1, 2 or 3, got {l!r}")
-    if not all(_integer_in(s, (-1, 1)) for s in (zeta, xi)):
+    if not all(is_integer(s) and s in (-1, 1) for s in (zeta, xi)):
         raise BadIndex(f"signs must be +1 or -1, got {(zeta, xi)!r}")
     a = (SIGMA[0] + zeta * SIGMA[l]) / 2.0
     b = (SIGMA[0] + xi * SIGMA[l]) / 2.0
@@ -161,7 +157,7 @@ def bell_state(eta: int, nu: int, xi: int) -> np.ndarray:
     Bell states; product +1 would give an operator that is not a pure-state
     projector.
     """
-    if not all(_integer_in(s, (-1, 1)) for s in (eta, nu, xi)):
+    if not all(is_integer(s) and s in (-1, 1) for s in (eta, nu, xi)):
         raise BadIndex(f"signs must be +1 or -1, got {(eta, nu, xi)!r}")
     if eta * nu * xi != -1:
         raise NotPure(f"sign pattern {(eta, nu, xi)} has product +1, not a pure state")
@@ -177,9 +173,9 @@ def params_from_states(vecs: np.ndarray) -> np.ndarray:
     from the amplitude magnitudes. Demonstrates that the family covers every
     pure state.
     """
-    v = np.asarray(vecs, dtype=complex)
+    v = checked_array(vecs, (None, 4), complex, NonNormalized, "state vector")
     norm = np.linalg.norm(v, axis=1)
-    off = ~(np.abs(norm - 1.0) <= _NORM_TOL)  # NaN is off
+    off = ~(np.abs(norm - 1.0) <= _NORM_TOL)
     if off.any():
         raise NonNormalized(f"state vector has norm {float(norm[off][0])!r}")
     a00 = v[:, :1]
@@ -194,4 +190,5 @@ def params_from_states(vecs: np.ndarray) -> np.ndarray:
 
 def params_from_state(vec: np.ndarray) -> PureStateParams:
     """Invert state_vector up to a global phase; row 0 of params_from_states."""
-    return PureStateParams(*params_from_states(np.asarray(vec)[None, :])[0].tolist())
+    v = checked_array(vec, (4,), complex, NonNormalized, "state vector")
+    return PureStateParams(*params_from_states(v[None, :])[0].tolist())

@@ -1,5 +1,6 @@
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import inf, nextafter
 
 import numpy as np
 import pytest
@@ -278,11 +279,11 @@ def near_point_masses(rng, count):
     return out
 
 
-def dyadic_generic(rng, count):
-    """Exactly normalized q = k / 2^20 with k drawn uniformly."""
-    cuts = np.sort(rng.integers(0, 2**20 + 1, (count, 3)), axis=1)
-    k = np.diff(cuts, prepend=0, append=2**20, axis=1)
-    return [tuple(float(x) * 2.0**-20 for x in row) for row in k]
+def dyadic_generic(rng, count, bits=20):
+    """Exactly normalized q = k / 2^bits with k drawn uniformly."""
+    cuts = np.sort(rng.integers(0, 2**bits + 1, (count, 3)), axis=1)
+    k = np.diff(cuts, prepend=0, append=2**bits, axis=1)
+    return [tuple(float(x) * 2.0**-bits for x in row) for row in k]
 
 
 class TestThresholds:
@@ -352,6 +353,52 @@ class TestThresholds:
             assert th.mu_ml <= th.mu_star, q
         assert worst <= Decimal("1e-14")
         assert thresholds(PauliChannel(qs[-1], 0.0)) == Thresholds(1.0, 1.0)
+
+    # Exact (Fraction) sign checks at the reported floats of 2,000 channels q = k / 2^30
+    # (seed 0): the root of each defining function lies within this many ulps of the
+    # reported value. Both bounds are this sample's worst; 1,686 channels need only 1 ulp
+    # for both. They are not guarantees: small thresholds have small ulps, and seed 30's
+    # q ~ (0.277, 0.243, 0.243, 0.238), with mu_ml = 0.038, needs 15 and 12 ulps.
+    ML_ULPS, STAR_ULPS = 8, 7
+
+    @staticmethod
+    def defining_functions(q):
+        """Exact eps_mm(mu) - |eps_l| and eps_mm^2 + eps_ss^2 - 2 eps_l^2 of an exactly
+        normalized q; both are nondecreasing in mu, and vanish at mu_ml and mu_star."""
+        qf = [Fraction(x) for x in q]
+        eps = [2 * (qf[0] + qf[k]) - 1 for k in (1, 2, 3)]
+        el, em, es = sorted(eps, key=lambda e: 1 - e * e)  # stable: ties keep index order
+
+        def diag(e, mu):
+            return (1 - mu) * e * e + mu
+
+        return (lambda mu: diag(em, mu) - abs(el),
+                lambda mu: diag(em, mu) ** 2 + diag(es, mu) ** 2 - 2 * el * el)
+
+    @staticmethod
+    def ulps_away(x, k, to):
+        for _ in range(k):
+            x = nextafter(x, to)
+        return Fraction(x)
+
+    def test_sign_changes_within_ulps_of_the_reported_thresholds(self):
+        for q in dyadic_generic(np.random.default_rng(0), 2000, bits=30):
+            th = thresholds(PauliChannel(q, 0.0))
+            for f, x, n in zip(self.defining_functions(q), (th.mu_ml, th.mu_star),
+                               (self.ML_ULPS, self.STAR_ULPS)):
+                assert f(self.ulps_away(x, n, -inf)) <= 0 <= f(self.ulps_away(x, n, inf)), q
+
+    def test_clamped_and_degenerate_thresholds_are_exact(self):
+        # The uniform q has both roots at mu = 0, where the clamps sit.
+        th = thresholds(PauliChannel((0.25,) * 4, 0.0))
+        assert th == Thresholds(0.0, 0.0)
+        assert [f(Fraction(0)) for f in self.defining_functions((0.25,) * 4)] == [0, 0]
+        # At a point mass both equations read 0 = 0 for every mu.
+        for i in range(4):
+            q = tuple(float(i == j) for j in range(4))
+            assert thresholds(PauliChannel(q, 0.0)) == Thresholds(0.0, 0.0, degenerate=True)
+            for mu in (Fraction(0), Fraction(1, 3), Fraction(1)):
+                assert [f(mu) for f in self.defining_functions(q)] == [0, 0]
 
 
 class TestApplyChannel:

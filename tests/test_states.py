@@ -11,8 +11,6 @@ from paulimem import (
     NonHermitian,
     NonNormalized,
     NotPure,
-    PauliChannel,
-    PauliMemError,
     PureStateParams,
     alpha_beta,
     amplitudes_from_angles,
@@ -26,9 +24,6 @@ from paulimem import (
     state_vectors,
     weights_to_density,
 )
-from paulimem.capacity import entropy_bits
-from paulimem.channel import apply_channel
-from paulimem.oracle import eig_hermitian4
 from paulimem.pauli import SIGMA
 from conftest import random_params
 
@@ -376,29 +371,3 @@ def test_product_index_table():
             ratio = np.trace(target.conj().T @ prod) / 2.0
             assert abs(abs(ratio) - 1.0) < 1e-15
             assert np.abs(prod - ratio * target).max() < 1e-15
-
-
-NAN = float("nan")
-NAN_MATRIX = np.full((4, 4), NAN)
-
-
-@pytest.mark.parametrize(
-    "check, value, message",
-    [
-        (entropy_bits, [NAN] * 4, "eigenvalue is NaN"),
-        (entropy_bits, [0.5, 0.5, NAN, 0.0], "eigenvalue is NaN"),
-        (density_matrix, [NAN, 0.0, 0.0, 0.0], None),
-        (params_from_states, np.array([[1.0, 0.0, 0.0, NAN]]), None),
-        (lambda rho: apply_channel(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.5), rho), NAN_MATRIX,
-         None),
-        (pauli_weights, NAN_MATRIX, "weight is NaN"),
-        (eig_hermitian4, NAN_MATRIX, None),
-    ],
-    ids=["entropy_bits-all", "entropy_bits-one", "density_matrix", "params_from_states",
-         "apply_channel", "pauli_weights", "eig_hermitian4"],
-)
-def test_nan_input_is_rejected(check, value, message):
-    # Every check is "pass only if error <= tol", which NaN fails; where the
-    # message is given, it names the NaN rather than the check it failed.
-    with pytest.raises(PauliMemError, match=message):
-        check(value)
