@@ -42,39 +42,27 @@ class Regime(str, Enum):
     TIE = "tie"
 
 
-def _sum4(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis (length 4), added strictly left to right."""
-    return ((x[..., 0] + x[..., 1]) + x[..., 2]) + x[..., 3]
-
-
 def _eps_diagonal(eps: list, mu) -> list:
     """eps_kk(mu) = (1 - mu) eps_k^2 + mu for k = 0..3, bit for bit the diagonal
     of the eps_kk' matrix; mu is a float (one point) or an (N,) grid."""
     return [(1.0 - mu) * x * x + mu for x in eps]
 
 
-def _branch_spectra(d, l: int, e_l) -> np.ndarray:
+def _branch_spectra(d, e_ll, e_l) -> np.ndarray:
     """Output spectra of both input families, shape (2, 4), or (N, 2, 4) over a grid.
 
-    d[k] = eps_kk for k = 0..3, each a float (one point) or an (N,) column;
-    l is the dominant axis and e_l = eps_l. [..., 0, :] is the product
-    spectrum (see spectrum_product_regime), [..., 1, :] the Bell spectrum
-    (see spectrum_bell_regime), each sorted descending.
+    d[k] = eps_kk for k = 0..3 and e_ll = d[l], each a float (one point) or an
+    (N,) column; l is the dominant axis and e_l = eps_l. [..., 0, :] is the
+    product spectrum (see spectrum_product_regime), [..., 1, :] the Bell
+    spectrum (see spectrum_bell_regime), each sorted descending.
     """
     e11, e22, e33 = d[1], d[2], d[3]
-    e_ll = d[l]
-    lam = np.empty(np.shape(e11) + (2, 4))
-    a = 1.0 + e_ll
-    lam[..., 0, 0] = a + 2.0 * e_l
-    lam[..., 0, 1] = a - 2.0 * e_l
-    lam[..., 0, 2] = lam[..., 0, 3] = 1.0 - e_ll
-    a = 1.0 + e33
-    b = 1.0 - e33
-    lam[..., 1, 0] = a + e11 + e22
-    lam[..., 1, 1] = a - e11 - e22
-    lam[..., 1, 2] = b + e11 - e22
-    lam[..., 1, 3] = b - e11 + e22
-    lam /= 4.0
+    a, b = 1.0 + e_ll, 1.0 - e_ll
+    c, f = 1.0 + e33, 1.0 - e33
+    # One literal for both spectra: (8,) at one point, (8, N) over a grid.
+    lam = np.array([a + 2.0 * e_l, a - 2.0 * e_l, b, b,
+                    c + e11 + e22, c - e11 - e22, f + e11 - e22, f - e11 + e22])
+    lam = lam.T.reshape(np.shape(e33) + (2, 4)) / 4.0
     lam.sort(axis=-1)
     return lam[..., ::-1]
 
@@ -84,13 +72,16 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
 
     Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
     more negative, or a total away from 1 by more than 1e-9 raises
-    InvalidSpectrum for the first such spectrum.
+    InvalidSpectrum for the first such spectrum. Sums over the last axis add
+    left to right: numpy sums fewer than 8 terms in order.
     """
-    low = lam.min(axis=-1)
-    total = _sum4(lam)
-    # Written so that NaN, for which every comparison is false, fails it.
-    good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
-    if not good.all():
+    total = lam.sum(axis=-1)
+    # One test of the whole array, written so that NaN, for which every
+    # comparison is false, fails it; the first bad spectrum is sought only then.
+    ok = not lam.size or (lam.min() >= -_SPECTRUM_TOL and abs(total - 1.0).max() <= _SPECTRUM_TOL)
+    if not ok:
+        low = lam.min(axis=-1)
+        good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
         i = np.unravel_index(np.argmin(good), good.shape)
         if low[i] < -_SPECTRUM_TOL:
             raise InvalidSpectrum(f"negative eigenvalue {float(low[i])!r}")
@@ -99,7 +90,7 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     p = np.where(lam > 0.0, lam, 1.0)
     # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair
     # above 1 give a tiny negative sum, clamped to 0.
-    return np.maximum(0.0 - _sum4(p * np.log2(p)), 0.0)
+    return np.maximum(0.0 - (p * np.log2(p)).sum(axis=-1), 0.0)
 
 
 def entropy_bits(lambdas) -> float:
@@ -113,8 +104,8 @@ def entropy_bits(lambdas) -> float:
 
 
 def _cp_spectra(cp: ChannelParams) -> np.ndarray:
-    l = cp.ordering[0]
-    return _branch_spectra(cp.eps2.diagonal().tolist(), l, cp.eps[l].item())
+    d, l = cp.eps2.diagonal().tolist(), cp.ordering[0]
+    return _branch_spectra(d, d[l], cp.eps[l].item())
 
 
 def spectrum_product_regime(cp: ChannelParams) -> np.ndarray:
@@ -249,9 +240,9 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     by a few hundredths of a bit. On a tie the product family is named in
     the descriptor; both families are then optimal.
     """
-    eps, order, th = _capacity_inputs(channel)
-    l = order[0]
-    lam = _branch_spectra(_eps_diagonal(eps, channel.mu), l, eps[l])
+    eps, (l, _, _), th = _capacity_inputs(channel)
+    d = _eps_diagonal(eps, channel.mu)
+    lam = _branch_spectra(d, d[l], eps[l])
     s_p, s_b = _entropies(lam).tolist()
     return _result(channel.mu, lam, s_p, s_b, l, th)
 
@@ -306,17 +297,18 @@ def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
 
     The grid is checked as a whole first: the first value outside [0, 1]
     (NaN and infinities included) raises OutOfRange, as PauliChannel would.
-    The spectra are then one array pass over the eps_kk columns, and their
-    entropies are taken _BLOCK_ROWS rows at a time; eps, the ordering and
-    the thresholds are computed once.
+    The spectra and their entropies are then array passes over _BLOCK_ROWS
+    rows at a time, into columns allocated once; eps, the ordering and the
+    thresholds are computed once.
     """
     mu = _checked_mu_grid(channel_base, mu_grid).copy()  # the curve owns, and freezes, its grid
-    eps, order, th = _capacity_inputs(channel_base)
-    l = order[0]
-    lam = _branch_spectra(_eps_diagonal(eps, mu), l, eps[l])
-    # Whole, each temporary of _entropies would be 64 MB at the 10^6-point grid bound.
-    ent = np.empty(lam.shape[:-1])
+    eps, (l, _, _), th = _capacity_inputs(channel_base)
+    # Whole, each temporary would be up to 64 MB at the 10^6-point grid bound.
+    lam = np.empty((len(mu), 2, 4))
+    ent = np.empty((len(mu), 2))
     for i in range(0, len(mu), _BLOCK_ROWS):
+        d = _eps_diagonal(eps, mu[i:i + _BLOCK_ROWS])
+        lam[i:i + _BLOCK_ROWS] = _branch_spectra(d, d[l], eps[l])
         ent[i:i + _BLOCK_ROWS] = _entropies(lam[i:i + _BLOCK_ROWS])
     return CapacityCurve(mu, lam, ent, l, th)
 

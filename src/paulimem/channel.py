@@ -16,12 +16,10 @@ import numpy as np
 
 from .errors import InvalidState, NonNormalized, OutOfRange, checked_array
 from .pauli import PAULI2, PRODUCT_INDEX, SIGN_TABLE
+from .states import _checked_weights
 
 _SUM_TOL = 1e-9
 _TRACE_TOL = 1e-9
-
-# Plain float table for scalar accumulation (see epsilon_vector).
-_SIGN = [[float(SIGN_TABLE[i, j]) for j in range(4)] for i in range(4)]
 
 
 @dataclass(frozen=True)
@@ -38,15 +36,15 @@ class PauliChannel:
 
     def __post_init__(self):
         try:
-            q = tuple(float(x) for x in self.q)
+            q = tuple(map(float, self.q))
             mu = float(self.mu)
         except (TypeError, ValueError, OverflowError):
             raise OutOfRange("channel parameters must be real numbers") from None
         if len(q) != 4:
             raise OutOfRange(f"need 4 probabilities, got {len(q)}")
-        if not all(isfinite(x) for x in q) or not isfinite(mu):
+        if not all(map(isfinite, q)) or not isfinite(mu):
             raise OutOfRange("channel parameters must be finite")
-        if any(x < 0.0 or x > 1.0 for x in q):
+        if min(q) < 0.0 or max(q) > 1.0:
             raise OutOfRange(f"probabilities outside [0, 1]: {q}")
         if not 0.0 <= mu <= 1.0:
             raise OutOfRange(f"mu outside [0, 1]: {mu}")
@@ -99,21 +97,19 @@ FAMILIES = {"depolarizing": depolarizing, "mp": mp_channel}
 """Named one-parameter channel families: name -> constructor(p, mu)."""
 
 
+def _eps(q: tuple) -> list[float]:
+    """eps_0..eps_3 as plain floats, each sum_k q_k s_kn added left to right."""
+    q0, q1, q2, q3 = q
+    return [1.0, q0 + q1 - q2 - q3, q0 - q1 + q2 - q3, q0 - q1 - q2 + q3]
+
+
 def epsilon_vector(channel: PauliChannel) -> np.ndarray:
     """Signed error sums eps_n = sum_k q_k s_kn; eps_0 is identically 1.
 
     Accumulated left to right in index order so that decimal probabilities
     cancel exactly (a channel with q0 + q1 == q2 + q3 really reports eps_1 == 0).
     """
-    q = channel.q
-    eps = np.empty(4)
-    eps[0] = 1.0
-    for n in range(1, 4):
-        acc = 0.0
-        for k in range(4):
-            acc += q[k] * _SIGN[k][n]
-        eps[n] = acc
-    return eps
+    return np.array(_eps(channel.q))
 
 
 def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
@@ -187,8 +183,8 @@ def _capacity_inputs(channel: PauliChannel) -> tuple[list, tuple[int, int, int],
     # (p_k, n_k): the weight sigma_k keeps and the weight it flips; sigma_0 flips nothing.
     kept_flipped = [(1.0, 0.0), (q0 + q1, q2 + q3), (q0 + q2, q1 + q3), (q0 + q3, q1 + q2)]
     d = [4.0 * p * n for p, n in kept_flipped]
-    order = tuple(sorted((1, 2, 3), key=lambda k: (d[k], k)))
-    return epsilon_vector(channel).tolist(), order, _thresholds(kept_flipped, d, order)
+    order = tuple(sorted((1, 2, 3), key=d.__getitem__))  # stable: ties keep index order
+    return _eps(channel.q), order, _thresholds(kept_flipped, d, order)
 
 
 def _thresholds(kept_flipped: list, d: list[float], order: tuple[int, int, int]) -> Thresholds:
@@ -263,7 +259,7 @@ def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
 
     Expects the weights of a unit-trace operator (w[0, 0] = 1).
     """
-    return epsilon_matrix(channel) * checked_array(w, (4, 4), float, InvalidState, "weight")
+    return epsilon_matrix(channel) * _checked_weights(w)
 
 
 def _config_number(value, key: str) -> float:

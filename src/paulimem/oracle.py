@@ -22,10 +22,11 @@ import numpy as np
 
 from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use, csv_text, json_text
 from .channel import PauliChannel, epsilon_matrix, epsilon_vector
-from .errors import InvalidState, NonHermitian, OutOfRange, checked_array, is_integer
+from .errors import NonHermitian, OutOfRange, checked_array, is_integer
 from .pauli import PAULI2
 from .states import (
     PureStateParams,
+    _checked_weights,
     density_matrix,
     params_from_states,
     pauli_weights,
@@ -131,7 +132,7 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
     sigma_0/sigma_3 weights, the single-flip entries the sigma_1/sigma_2
     edge weights, and the double-flip entries the transverse block.
     """
-    w = checked_array(w, (4, 4), float, InvalidState, "weight").tolist()
+    w = _checked_weights(w).tolist()
     eps = epsilon_vector(channel).tolist()
     e = epsilon_matrix(channel).tolist()
     out = np.empty((4, 4), dtype=complex)
@@ -218,7 +219,7 @@ def a2_coefficient(cp, w: np.ndarray) -> tuple[float, float, float, float]:
 
     Returns (a2, A, B, C).
     """
-    w = checked_array(w, (4, 4), float, InvalidState, "weight")
+    w = _checked_weights(w, pure=True)
     l, m, s = cp.ordering
     e = cp.eps2
     ev = cp.eps

@@ -107,9 +107,20 @@ def pauli_weights(rho: np.ndarray) -> np.ndarray:
     return traces.real.copy()
 
 
-def weights_to_density(w: np.ndarray) -> np.ndarray:
-    """Reassemble (1/4) sum_nk w_nk sigma_n x sigma_k; inverse of pauli_weights."""
+def _checked_weights(w, pure: bool = False) -> np.ndarray:
+    """w as the (4, 4) weights of a unit-trace operator (w[0, 0] = 1) and, if pure, of a pure
+    state (the squares sum to 4), each within 1e-9; anything else raises InvalidState."""
     w = checked_array(w, (4, 4), float, InvalidState, "weight")
+    if not abs(w[0, 0] - 1.0) <= _NORM_TOL:
+        raise InvalidState(f"weight w[0, 0] is {float(w[0, 0])!r}, not 1")
+    if pure and not abs((w * w).sum() - 4.0) <= _NORM_TOL:
+        raise InvalidState(f"squared weights sum to {float((w * w).sum())!r}, not 4 (not pure)")
+    return w
+
+
+def weights_to_density(w: np.ndarray) -> np.ndarray:
+    """(1/4) sum_nk w_nk sigma_n x sigma_k of unit-trace weights; inverse of pauli_weights."""
+    w = _checked_weights(w)
     return np.einsum("nk,nkab->ab", w, PAULI2) / 4.0
 
 

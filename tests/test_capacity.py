@@ -83,6 +83,89 @@ class TestEntropyBits:
             assert math.copysign(1.0, entropy_bits(lam)) == 1.0
 
 
+def _reference_entropy(row) -> float:
+    """-sum p log2 p of one spectrum, with np.log2 per value and the terms added
+    left to right in Python; zeros and rounded negatives add nothing."""
+    acc = 0.0
+    for x in row:
+        p = x if x > 0.0 else 1.0
+        acc += p * float(np.log2(p))
+    return max(0.0 - acc, 0.0)
+
+
+def _test_spectra(n):
+    """n valid spectra sorted descending: Dirichlet rows, rows with zeros, rows
+    with a rounded negative in [-1e-9, 0), and the pure and flat extremes."""
+    rng = np.random.default_rng(27)
+    lam = rng.dirichlet(np.full(4, 0.5), n)
+    zeros = slice(n // 4, n // 2)
+    lam[zeros, 2:] = 0.0
+    lam[zeros] /= lam[zeros].sum(axis=1, keepdims=True)
+    negative = slice(n // 2, 3 * n // 4)
+    r = rng.uniform(1e-12, 1e-9, 3 * n // 4 - n // 2)
+    lam[negative, 0] += lam[negative, 3] + r
+    lam[negative, 3] = -r
+    lam[:4] = [[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0], [1.0, -1e-12, 1e-12, 0.0]]
+    return -np.sort(-lam, axis=1)
+
+
+class TestEntropyKernel:
+    """_entropies sums over the last axis with numpy's sum, which adds fewer
+    than 8 terms left to right; it must match a Python sum bit for bit, for
+    every memory layout the capacity code hands it."""
+
+    @staticmethod
+    def layouts(lam):
+        pairs = lam.reshape(-1, 2, 4)
+        ascending = np.sort(lam, axis=1)
+        return {
+            "rows": lam,
+            "reversed rows": ascending[:, ::-1],
+            "fortran rows": np.asfortranarray(lam),
+            "pairs": pairs,
+            "reversed pairs": ascending.reshape(-1, 2, 4)[..., ::-1],
+            "strided pairs": np.ascontiguousarray(pairs.transpose(1, 0, 2)).transpose(1, 0, 2),
+        }
+
+    def test_matches_python_sum_bit_for_bit(self):
+        lam = _test_spectra(4000)
+        want = np.array([_reference_entropy(row) for row in lam.tolist()])
+        assert np.isin(0.0, want) and (lam < 0.0).any()
+        for name, x in self.layouts(lam).items():
+            assert np.array_equal(x.reshape(-1, 4), lam), name
+            got = capacity_module._entropies(x)
+            assert got.shape == x.shape[:-1], name
+            assert got.tobytes() == want.reshape(got.shape).tobytes(), name
+
+    GOOD = [0.4, 0.3, 0.2, 0.1]
+    # The messages TestEntropyBits pins, for the rows that raise them.
+    NEGATIVE = ([1.1, -0.1, 0.0, 0.0], "negative eigenvalue -0.1")
+    WRONG_SUM = ([0.5, 0.1, 0.1, 0.1], "eigenvalues sum to 0.7999999999999999, not 1")
+
+    @pytest.mark.parametrize("bad", [(NEGATIVE,), (WRONG_SUM,), (NEGATIVE, WRONG_SUM),
+                                     (WRONG_SUM, NEGATIVE)])
+    @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
+    def test_first_bad_row_wins(self, bad, shape):
+        rows = [self.GOOD] * 10
+        for i, (row, _) in zip((3, 6), bad):
+            rows[i] = row
+        with pytest.raises(InvalidSpectrum) as exc:
+            capacity_module._entropies(np.array(rows).reshape(shape))
+        assert str(exc.value) == bad[0][1]
+
+    @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
+    def test_nan_in_a_later_row_raises(self, at, shape):
+        lam = np.array([self.GOOD] * 10)
+        lam[9, at] = math.nan
+        with pytest.raises(InvalidSpectrum) as exc:
+            capacity_module._entropies(lam.reshape(shape))
+        assert str(exc.value) == "eigenvalues sum to nan, not 1"
+
+    def test_empty(self):
+        assert capacity_module._entropies(np.empty((0, 2, 4))).shape == (0, 2)
+
+
 class TestProductSpectrum:
     def test_identity_channel(self):
         cp = channel_params(PauliChannel((1, 0, 0, 0), 0.3))
@@ -270,9 +353,7 @@ class TestSweepMatchesPoints:
                 return fn(*args)
             return wrapper
 
-        monkeypatch.setattr(
-            channel_module, "epsilon_vector", counting("eps", channel_module.epsilon_vector)
-        )
+        monkeypatch.setattr(channel_module, "_eps", counting("eps", channel_module._eps))
         monkeypatch.setattr(
             channel_module, "_thresholds", counting("thresholds", channel_module._thresholds)
         )
@@ -680,6 +761,22 @@ class TestSweepBlocks:
         assert "".join(json_blocks) == sweep_to_json(curve) == reference_json(curve)
         # capacity_sweep computes the entropies in blocks of the same size
         assert np.array_equal(curve.entropies, capacity_module._entropies(curve.spectra))
+
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1,
+                                   2 * _BLOCK_ROWS + 1])
+    def test_spectra_at_a_block_boundary(self, n):
+        curve = _regime_switch_curve(n)
+        base = depolarizing(0.25, 0.0)
+        eps, (l, _, _), _ = channel_module._capacity_inputs(base)
+        d = capacity_module._eps_diagonal(eps, curve.mu)
+        whole = capacity_module._branch_spectra(d, d[l], eps[l])
+        assert curve.spectra.flags.c_contiguous
+        assert curve.spectra.tobytes() == whole.tobytes()
+        points = [capacity_two_use(base.with_mu(mu)) for mu in curve.mu.tolist()]
+        spectra = np.array([[r.lambdas_product, r.lambdas_bell] for r in points])
+        entropies = np.array([[r.entropy_product, r.entropy_bell] for r in points])
+        assert curve.spectra.tobytes() == spectra.tobytes()
+        assert curve.entropies.tobytes() == entropies.tobytes()
 
     def test_nan_threshold_across_blocks(self):
         curve = _regime_switch_curve(_BLOCK_ROWS + 1)

@@ -4,6 +4,8 @@ A value of the documented type with the wrong number of axes or a wrong
 length, an empty array, a NaN or infinite entry, or a ragged or string list
 raises the PauliMemError subclass the function raises for its other checks;
 a NaN is named as such. The valid input in each row must still be accepted.
+The four functions that take Pauli weights also reject weights whose values
+break the contract their docstrings state.
 """
 
 import math
@@ -74,6 +76,27 @@ CASES = {
                            "state vector"),
     "params_from_state": (params_from_state, NonNormalized, VECS[0], [(4,)], "state vector"),
 }
+
+
+def trace_weights(w00):
+    """W with its trace weight w[0, 0] set to w00."""
+    w = W.copy()
+    w[0, 0] = w00
+    return w
+
+
+# Weights of the right shape that break the contract the four weight-taking
+# functions state: a trace away from 1 (w[0, 0] != 1), and for a2_coefficient
+# the weights of a mixed state, whose squares do not sum to 4.
+BAD_WEIGHTS = [
+    ("apply_channel_weights", np.zeros((4, 4)), r"^weight w\[0, 0\] is 0.0, not 1$"),
+    ("output_matrix", trace_weights(2.0), r"^weight w\[0, 0\] is 2.0, not 1$"),
+    ("weights_to_density", trace_weights(1.000000002),
+     r"^weight w\[0, 0\] is 1.000000002, not 1$"),
+    ("a2_coefficient", trace_weights(0.5), r"^weight w\[0, 0\] is 0.5, not 1$"),
+    ("a2_coefficient", pauli_weights(np.eye(4) / 4.0),
+     r"^squared weights sum to 1.0, not 4 \(not pure\)$"),
+]
 cases = pytest.mark.parametrize("case", CASES)
 contract = settings(derandomize=True, deadline=None, max_examples=8)
 
@@ -94,6 +117,12 @@ def rejects(case, value, match=None):
 def test_valid_input_is_accepted(case):
     check, _, valid = CASES[case][:3]
     check(valid)
+
+
+@pytest.mark.parametrize("case, value, message", BAD_WEIGHTS)
+def test_bad_weight_values(case, value, message):
+    rejects(case, value, message)
+    rejects(case, value.tolist(), message)
 
 
 @cases
