@@ -3,73 +3,99 @@
 Channel model, optimal input families (dominant-axis product states and Bell
 states), closed-form output spectra, memory thresholds, and an independent
 brute-force entropy-minimization check over all two-qubit pure states.
+
+Importing the package loads no submodule and no numpy: each public name loads
+the submodule that defines it on first use (PEP 562), so a command-line run
+pays only for the modules its command calls.
 """
 
-from .capacity import (
-    CapacityCurve,
-    CapacityResult,
-    Regime,
-    capacity_sweep,
-    capacity_two_use,
-    ensemble_output_entropies,
-    entropy_bits,
-    spectrum_bell_regime,
-    spectrum_product_regime,
-    sweep_to_csv,
-    sweep_to_json,
-    verify_ensemble_achievability,
-)
-from .channel import (
-    FAMILIES,
-    ChannelParams,
-    PauliChannel,
-    Thresholds,
-    apply_channel,
-    apply_channel_weights,
-    channel_from_config,
-    channel_params,
-    depolarizing,
-    epsilon_matrix,
-    epsilon_matrix_bruteforce,
-    epsilon_vector,
-    mp_channel,
-    ordering,
-    thresholds,
-)
-from .errors import (
-    BadIndex,
-    InvalidSpectrum,
-    InvalidState,
-    NonHermitian,
-    NonNormalized,
-    NotPure,
-    OutOfRange,
-    PauliMemError,
-)
-from .oracle import (
-    OptimalityReport,
-    OracleResult,
-    SearchConfig,
-    a2_coefficient,
-    eig_hermitian4,
-    min_entropy_bruteforce,
-    output_entropies,
-    output_matrix,
-    verify_optimality_grid,
-)
-from .states import (
-    PureStateParams,
-    alpha_beta,
-    amplitudes_from_angles,
-    bell_state,
-    density_matrix,
-    params_from_state,
-    params_from_states,
-    pauli_weights,
-    product_optimal_state,
-    state_vector,
-    state_vectors,
-    weights_to_density,
-)
+import importlib
 
+_EXPORTS = {
+    "capacity": (
+        "CapacityCurve",
+        "CapacityResult",
+        "Regime",
+        "capacity_sweep",
+        "capacity_two_use",
+        "ensemble_output_entropies",
+        "entropy_bits",
+        "spectrum_bell_regime",
+        "spectrum_product_regime",
+        "sweep_to_csv",
+        "sweep_to_json",
+        "verify_ensemble_achievability",
+    ),
+    "channel": (
+        "FAMILIES",
+        "ChannelParams",
+        "PauliChannel",
+        "Thresholds",
+        "apply_channel",
+        "apply_channel_weights",
+        "channel_from_config",
+        "channel_params",
+        "depolarizing",
+        "epsilon_matrix",
+        "epsilon_matrix_bruteforce",
+        "epsilon_vector",
+        "mp_channel",
+        "ordering",
+        "thresholds",
+    ),
+    "errors": (
+        "BadIndex",
+        "InvalidSpectrum",
+        "InvalidState",
+        "NonHermitian",
+        "NonNormalized",
+        "NotPure",
+        "OutOfRange",
+        "PauliMemError",
+    ),
+    "oracle": (
+        "OptimalityReport",
+        "OracleResult",
+        "SearchConfig",
+        "a2_coefficient",
+        "eig_hermitian4",
+        "min_entropy_bruteforce",
+        "output_entropies",
+        "output_matrix",
+        "verify_optimality_grid",
+    ),
+    "states": (
+        "PureStateParams",
+        "alpha_beta",
+        "amplitudes_from_angles",
+        "bell_state",
+        "density_matrix",
+        "params_from_state",
+        "params_from_states",
+        "pauli_weights",
+        "product_optimal_state",
+        "state_vector",
+        "state_vectors",
+        "weights_to_density",
+    ),
+}
+# Public name -> the submodule that defines it.
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    """The public name from its submodule, imported now and kept here for later lookups."""
+    try:
+        module = _HOME[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

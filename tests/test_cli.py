@@ -604,8 +604,9 @@ class TestFlagsEachCommandReads:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the flag check")
 
-        for name in ("channel_from_config", "capacity_sweep", "verify_optimality_grid"):
-            monkeypatch.setattr(cli, name, refuse)
+        for target in ("paulimem.channel.channel_from_config", "paulimem.capacity.capacity_sweep",
+                       "paulimem.oracle.verify_optimality_grid"):
+            monkeypatch.setattr(target, refuse)
 
     def test_the_table_covers_every_flag(self):
         assert set(FLAG_ARGV) == {dest for _, reads in cli._COMMANDS.values() for dest in reads}
@@ -648,13 +649,13 @@ class TestFlagsEachCommandReads:
     def test_grid_search_gets_no_base_mu(self, capsys, monkeypatch):
         # Without --mu or a config "mu", the channel verify --mu-grid gets has mu 0.0.
         seen = []
-        real = cli.verify_optimality_grid
+        real = oracle.verify_optimality_grid
 
         def spy(channel, grid, cfg):
             seen.append((channel.mu, list(grid)))
             return real(channel, grid, oracle.SearchConfig(1, 1, 0))
 
-        monkeypatch.setattr(cli, "verify_optimality_grid", spy)
+        monkeypatch.setattr(oracle, "verify_optimality_grid", spy)
         code, _, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0.5:1:0.5", "verify")
         assert code == 0 and seen == [(0.0, [0.5, 1.0])]
 
@@ -682,6 +683,91 @@ class TestImports:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def _python(self, script, *argv):
+        return subprocess.run([sys.executable, "-c", script, *argv],
+                              capture_output=True, text=True)
+
+    def test_package_import_loads_no_submodule_and_no_numpy(self):
+        script = (
+            "import sys, paulimem\n"
+            "loaded = [m for m in sys.modules if m.startswith(('numpy', 'paulimem.'))]\n"
+            "assert loaded == [], loaded\n"
+        )
+        proc = self._python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_every_exported_name_is_its_home_module_object(self):
+        script = (
+            "import importlib, paulimem\n"
+            "assert set(paulimem.__all__) <= set(dir(paulimem))\n"
+            "assert len(paulimem.__all__) == 56\n"
+            "for name in paulimem.__all__:\n"
+            "    value = getattr(paulimem, name)\n"
+            "    home = importlib.import_module('paulimem.' + paulimem._HOME[name])\n"
+            "    assert value is getattr(home, name), name\n"
+            "    assert getattr(value, '__module__', home.__name__) == home.__name__, name\n"
+            "    assert name in vars(paulimem), name  # kept for later lookups\n"
+        )
+        proc = self._python(script)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_unknown_name_is_an_attribute_error(self):
+        script = (
+            "import paulimem\n"
+            "try:\n"
+            "    paulimem.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        proc = self._python(script)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == "module 'paulimem' has no attribute 'no_such_name'\n"
+
+    def test_capacity_and_sweep_never_load_the_oracle(self, tmp_path):
+        script = (
+            "import sys\n"
+            "from paulimem.cli import main\n"
+            "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu', '0.5', 'capacity']) == 0\n"
+            "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu-grid', '0:1:0.5', 'sweep',\n"
+            "             '--out', sys.argv[1]]) == 0\n"
+            "assert 'paulimem.oracle' not in sys.modules\n"
+        )
+        proc = self._python(script, str(tmp_path / "sweep.csv"))
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "--formt", "json", "capacity"], 2),
+            (["--q", "0.2,0.1", "--mu", "0.5", "capacity"], 2),
+            (["--help"], 0),
+        ],
+        ids=["mistyped-flag", "bad-q", "help"],
+    )
+    def test_usage_exits_before_numpy_loads(self, argv, code):
+        # The program entry itself, as `python -m paulimem` and the script run it.
+        script = (
+            "import sys\n"
+            "from paulimem.cli import entry\n"
+            "try:\n"
+            "    entry()\n"
+            "finally:\n"
+            "    assert 'numpy' not in sys.modules, 'numpy loaded'\n"
+        )
+        proc = self._python(script, *argv)
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            assert proc.stdout.startswith("usage: paulimem") and proc.stderr == ""
+        else:
+            assert proc.stdout == "" and "Traceback" not in proc.stderr
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+
+    def test_family_names_are_those_of_the_channel_module(self):
+        from paulimem.channel import FAMILIES
+
+        assert cli._FAMILY_NAMES == tuple(FAMILIES)
 
 
 class TestVerify:
@@ -724,13 +810,13 @@ class TestVerify:
 
     def _search_config(self, capsys, monkeypatch, *flags):
         seen = []
-        real = cli.verify_optimality_grid
+        real = oracle.verify_optimality_grid
 
         def spy(channel, grid, cfg):
             seen.append(cfg)
             return real(channel, grid, oracle.SearchConfig(2, 1, 0))
 
-        monkeypatch.setattr(cli, "verify_optimality_grid", spy)
+        monkeypatch.setattr(oracle, "verify_optimality_grid", spy)
         code, _, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "1", *flags, "verify")
         assert code == 0 and len(seen) == 1
         return seen[0]
@@ -772,6 +858,58 @@ class TestDeterminism:
         first = self._run_bytes(argv)
         second = self._run_bytes(argv)
         assert first == second and first[0] == 0
+
+
+# The benchmark's verify run (perfbench/workloads.py, VERIFY_ARGV).
+VERIFY_ARGV = ["--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "--grid-points", "3", "--restarts", "2",
+               "--seed", "1", "verify"]
+
+
+class TestThreadDefault:
+    """The program entry runs on one BLAS thread unless the caller chose a count."""
+
+    def test_entry_sets_only_unset_variables(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+        monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+        monkeypatch.setenv("MKL_NUM_THREADS", "")
+        seen = []
+
+        def fake_main():
+            seen.append({var: os.environ.get(var) for var in cli._THREAD_VARS})
+            return 0
+
+        monkeypatch.setattr(cli, "main", fake_main)
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+        assert seen == [{"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
+                         "MKL_NUM_THREADS": ""}]
+
+    def test_main_leaves_the_environment_alone(self, capsys, monkeypatch):
+        for var in cli._THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        before = dict(os.environ)
+        assert run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "capacity")[0] == 0
+        assert dict(os.environ) == before
+
+    @pytest.mark.parametrize("argv", [
+        "--q 0.2,0.1,0.3,0.4 --mu 0.5 capacity".split(),
+        VERIFY_ARGV,
+        [*VERIFY_ARGV[:-1], "--format", "json", "verify"],
+    ], ids=["capacity", "verify-csv", "verify-json"])
+    def test_stdout_without_the_variables_is_that_of_one_thread(self, argv):
+        outputs = []
+        for value in (None, "1"):
+            env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+            if value is not None:
+                env.update(dict.fromkeys(cli._THREAD_VARS, value))
+            proc = subprocess.run([sys.executable, "-m", "paulimem", *argv], env=env,
+                                  capture_output=True, check=False)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+        if argv[-1] == "capacity":
+            assert outputs[0].decode() == PINNED_STDOUT[" ".join(argv)]
 
 
 # Literal stdout of these runs. The other tests parse values; this one also
