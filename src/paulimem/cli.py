@@ -5,9 +5,7 @@ value), sweep (capacity curve over a memory grid), verify (brute-force check
 of the optimal families). Output is CSV or JSON on stdout or --out; exit
 codes are 0 (success), 1 (verification finding), 2 (usage or input error).
 
-Only the standard library is imported at the top: numpy and the numeric modules load
-once the arguments are parsed, and the oracle only for verify, so --help and usage
-errors exit before numpy loads and capacity and sweep never load the oracle.
+Only verify imports the oracle, so the other commands never load it.
 """
 
 from __future__ import annotations
@@ -23,14 +21,13 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
-from typing import TYPE_CHECKING, NoReturn
 
+import numpy as np
+
+from .capacity import capacity_sweep, csv_text, json_text
+from .capacity import sweep_csv_blocks, sweep_json_blocks
+from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
 from .errors import PauliMemError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-    from .channel import PauliChannel
 
 
 # Largest --mu-grid, checked from START:END:STEP before the grid is built.
@@ -40,11 +37,6 @@ _MAX_GRID_POINTS = 1_000_001
 _MAX_GRID_DIGITS = 1100
 # Integers below this are exact in float64.
 _EXACT_INT = 2**53
-# channel.FAMILIES's names, here so that the parser is built without numpy.
-_FAMILY_NAMES = ("depolarizing", "mp")
-# Thread-pool sizes read by OpenBLAS, OpenMP and MKL when numpy loads. A one-shot run
-# starts faster on one thread, and the small matrices here gain nothing from more.
-_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _parse_q(text: str) -> tuple[float, ...]:
@@ -106,8 +98,6 @@ def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> np.ndarray:
     that, Python's division of integers, which rounds correctly too, runs
     once per value.
     """
-    import numpy as np
-
     if max(abs(s), abs(e), t, abs(s + n * t), scale) < _EXACT_INT:
         k = np.arange(n + 1, dtype=np.int64)
         return np.minimum(s + t * k, e) / scale
@@ -127,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source = parser.add_mutually_exclusive_group()
     source.add_argument("--q", type=_parse_q, metavar="Q0,Q1,Q2,Q3", help="Pauli probabilities")
-    source.add_argument("--family", choices=_FAMILY_NAMES,
+    source.add_argument("--family", choices=tuple(FAMILIES),
                         help="named channel family (needs --p)")
     source.add_argument("--config", metavar="PATH", help="JSON channel config file")
     parser.add_argument("--p", type=float, help="family parameter")
@@ -172,16 +162,11 @@ def _load_channel(args, reads) -> tuple[PauliChannel, Sequence[float]]:
         if "mu" in reads and args.mu_grid is None:
             raise PauliMemError("missing 'mu': this command needs --mu or a config with 'mu'")
         mu = 0.0
-    from .channel import channel_from_config
-
     channel = channel_from_config(cfg, mu)
     return channel, [channel.mu] if args.mu_grid is None else args.mu_grid
 
 
 def _cmd_params(args, channel, grid) -> tuple[Iterable[str], int]:
-    from .capacity import csv_text, json_text
-    from .channel import channel_params
-
     cp = channel_params(channel)
     if args.format == "json":
         payload = {
@@ -199,9 +184,6 @@ def _cmd_params(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
-    from .capacity import csv_text, json_text
-    from .channel import thresholds
-
     # Thresholds' fields in declaration order: the two floats, then the flag.
     pairs = asdict(thresholds(channel)).items()
     if args.format == "json":
@@ -210,8 +192,6 @@ def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
-    from .capacity import capacity_sweep, json_text, sweep_csv_blocks
-
     results = capacity_sweep(channel, grid)
     if args.format == "json":
         return [json_text(results[0].to_dict())], 0
@@ -219,8 +199,6 @@ def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_sweep(args, channel, grid) -> tuple[Iterable[str], int]:
-    from .capacity import capacity_sweep, sweep_csv_blocks, sweep_json_blocks
-
     results = capacity_sweep(channel, grid)
     if args.format == "json":
         return sweep_json_blocks(results), 0
@@ -321,16 +299,5 @@ def main(argv=None) -> int:
     return code
 
 
-def entry() -> NoReturn:
-    """The program entry of `python -m paulimem` and the `paulimem` script: main on
-    sys.argv, with one BLAS thread unless the caller set its own thread count.
-
-    The variables are set before anything imports numpy, which reads them once as it
-    loads; main alone, and the library, leave the environment as they find it."""
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, "1")
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

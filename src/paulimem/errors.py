@@ -1,8 +1,7 @@
 """Exception types shared across the package, and checked_array, the one check every
-public function that takes an array makes first, raising the subclass it raises elsewhere.
+public function that takes an array makes first, raising the subclass it raises elsewhere."""
 
-numpy is imported inside the two functions that use it, so the command line can import
-the exception types, and report a usage error, before numpy is loaded."""
+import numpy as np
 
 
 class PauliMemError(ValueError):
@@ -37,10 +36,8 @@ class InvalidSpectrum(PauliMemError):
     """An eigenvalue list is not a valid probability spectrum."""
 
 
-def checked_array(x, shape: tuple, dtype, error: type, name: str) -> "np.ndarray":
+def checked_array(x, shape: tuple, dtype, error: type, name: str) -> np.ndarray:
     """x as a finite dtype array of the given shape (None: any length), or error naming name."""
-    import numpy as np
-
     try:
         a = np.asarray(x, dtype=dtype)
     except (TypeError, ValueError):
@@ -54,6 +51,4 @@ def checked_array(x, shape: tuple, dtype, error: type, name: str) -> "np.ndarray
 
 def is_integer(x) -> bool:
     """x is a Python or numpy integer; not a bool (True == 1), float or string."""
-    import numpy as np
-
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paulimem import cli, oracle
+from paulimem import __main__ as program, cli, oracle
 from paulimem.cli import _parse_grid, main
 
 
@@ -604,9 +604,9 @@ class TestFlagsEachCommandReads:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the flag check")
 
-        for target in ("paulimem.channel.channel_from_config", "paulimem.capacity.capacity_sweep",
-                       "paulimem.oracle.verify_optimality_grid"):
-            monkeypatch.setattr(target, refuse)
+        for name in ("channel_from_config", "capacity_sweep"):
+            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(oracle, "verify_optimality_grid", refuse)
 
     def test_the_table_covers_every_flag(self):
         assert set(FLAG_ARGV) == {dest for _, reads in cli._COMMANDS.values() for dest in reads}
@@ -736,39 +736,6 @@ class TestImports:
         proc = self._python(script, str(tmp_path / "sweep.csv"))
         assert proc.returncode == 0, proc.stderr
 
-    @pytest.mark.parametrize(
-        "argv, code",
-        [
-            (["--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "--formt", "json", "capacity"], 2),
-            (["--q", "0.2,0.1", "--mu", "0.5", "capacity"], 2),
-            (["--help"], 0),
-        ],
-        ids=["mistyped-flag", "bad-q", "help"],
-    )
-    def test_usage_exits_before_numpy_loads(self, argv, code):
-        # The program entry itself, as `python -m paulimem` and the script run it.
-        script = (
-            "import sys\n"
-            "from paulimem.cli import entry\n"
-            "try:\n"
-            "    entry()\n"
-            "finally:\n"
-            "    assert 'numpy' not in sys.modules, 'numpy loaded'\n"
-        )
-        proc = self._python(script, *argv)
-        assert proc.returncode == code, proc.stderr
-        if code == 0:
-            assert proc.stdout.startswith("usage: paulimem") and proc.stderr == ""
-        else:
-            assert proc.stdout == "" and "Traceback" not in proc.stderr
-            lines = proc.stderr.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:")
-
-    def test_family_names_are_those_of_the_channel_module(self):
-        from paulimem.channel import FAMILIES
-
-        assert cli._FAMILY_NAMES == tuple(FAMILIES)
-
 
 class TestVerify:
     def test_full_correlation_exit_zero(self, capsys):
@@ -868,6 +835,12 @@ VERIFY_ARGV = ["--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "--grid-points", "3", "-
 class TestThreadDefault:
     """The program entry runs on one BLAS thread unless the caller chose a count."""
 
+    def test_entry_module_loads_no_numpy(self):
+        # numpy reads the variables once as it loads, so the entry must set them first.
+        script = "import sys, paulimem.__main__\nassert 'numpy' not in sys.modules\n"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_entry_sets_only_unset_variables(self, monkeypatch):
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
         monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
@@ -875,18 +848,18 @@ class TestThreadDefault:
         seen = []
 
         def fake_main():
-            seen.append({var: os.environ.get(var) for var in cli._THREAD_VARS})
+            seen.append({var: os.environ.get(var) for var in program._THREAD_VARS})
             return 0
 
         monkeypatch.setattr(cli, "main", fake_main)
         with pytest.raises(SystemExit) as exc:
-            cli.entry()
+            program.entry()
         assert exc.value.code == 0
         assert seen == [{"OPENBLAS_NUM_THREADS": "4", "OMP_NUM_THREADS": "1",
                          "MKL_NUM_THREADS": ""}]
 
     def test_main_leaves_the_environment_alone(self, capsys, monkeypatch):
-        for var in cli._THREAD_VARS:
+        for var in program._THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         before = dict(os.environ)
         assert run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "capacity")[0] == 0
@@ -900,9 +873,9 @@ class TestThreadDefault:
     def test_stdout_without_the_variables_is_that_of_one_thread(self, argv):
         outputs = []
         for value in (None, "1"):
-            env = {k: v for k, v in os.environ.items() if k not in cli._THREAD_VARS}
+            env = {k: v for k, v in os.environ.items() if k not in program._THREAD_VARS}
             if value is not None:
-                env.update(dict.fromkeys(cli._THREAD_VARS, value))
+                env.update(dict.fromkeys(program._THREAD_VARS, value))
             proc = subprocess.run([sys.executable, "-m", "paulimem", *argv], env=env,
                                   capture_output=True, check=False)
             assert (proc.returncode, proc.stderr) == (0, b"")
