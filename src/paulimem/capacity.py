@@ -10,6 +10,7 @@ input achieves it.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -70,6 +71,8 @@ def _branch_spectra(d, e_ll, e_l) -> np.ndarray:
 def _entropies(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of the 4-point spectra along the last axis.
 
+    The array route, for sweeps and stacks of eigvalsh outputs; _float_entropies
+    is its plain-float twin for a query of one or two spectra, equal bit for bit.
     Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
     more negative, or a total away from 1 by more than 1e-9 raises
     InvalidSpectrum for the first such spectrum. Sums over the last axis add
@@ -93,14 +96,45 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     return np.maximum(0.0 - (p * np.log2(p)).sum(axis=-1), 0.0)
 
 
+def _float_entropies(spectra: list) -> list:
+    """_entropies of a list of 4-float spectra, as a list of floats, bit for bit.
+
+    The same checks, in the same order and with the same messages, then one
+    np.log2 call over every value and _entropies' arithmetic in Python floats:
+    each sum starts from 0.0 and adds its four terms left to right, as numpy's
+    does (so four -0.0 total 0.0). A query of one or two spectra spends most
+    of its time in numpy's per-call cost, which this route pays once instead
+    of a dozen times.
+    """
+    for a, b, c, d in spectra:
+        total = 0.0 + a + b + c + d
+        # NaN fails every comparison, and a NaN value makes the total NaN.
+        if not (abs(total - 1.0) <= _SPECTRUM_TOL and a >= -_SPECTRUM_TOL
+                and b >= -_SPECTRUM_TOL and c >= -_SPECTRUM_TOL and d >= -_SPECTRUM_TOL):
+            # _entropies' row minimum is NaN where the row holds one.
+            low = min(a, b, c, d)
+            if low < -_SPECTRUM_TOL and not any(map(math.isnan, (a, b, c, d))):
+                raise InvalidSpectrum(f"negative eigenvalue {low!r}")
+            raise InvalidSpectrum(f"eigenvalues sum to {total!r}, not 1")
+    p = [x if x > 0.0 else 1.0 for spectrum in spectra for x in spectrum]
+    log_p = np.log2(p).tolist()
+    entropies = []
+    for i in range(0, len(p), 4):
+        s = 0.0 - (0.0 + p[i] * log_p[i] + p[i + 1] * log_p[i + 1]
+                   + p[i + 2] * log_p[i + 2] + p[i + 3] * log_p[i + 3])
+        entropies.append(s if s > 0.0 else 0.0)
+    return entropies
+
+
 def entropy_bits(lambdas) -> float:
     """Von Neumann entropy -sum lam log2(lam) of a 4-point spectrum, in bits.
 
     Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
-    more negative, or a total away from 1 by more than 1e-9 is rejected.
+    more negative, or a total away from 1 by more than 1e-9 is rejected. One
+    spectrum takes the plain-float route, equal bit for bit to the array one.
     """
     lam = checked_array(lambdas, (4,), float, InvalidSpectrum, "eigenvalue")
-    return float(_entropies(lam[None])[0])
+    return _float_entropies([lam.tolist()])[0]
 
 
 def _cp_spectra(cp: ChannelParams) -> np.ndarray:
@@ -215,7 +249,11 @@ def _result(
         descriptor = {"family": "bell", "signs": [1, -1, 1]}
     else:
         descriptor = {"family": "product", "l": l}
-    return CapacityResult(
+    lam.setflags(write=False)  # and with it both spectra, as __post_init__ does
+    # The fields as __init__ sets them, without the object.__setattr__ call per
+    # field that a frozen dataclass's __init__ makes.
+    r = object.__new__(CapacityResult)
+    vars(r).update(
         mu=mu,
         regime=regime,
         lambdas_product=lam[0],
@@ -227,6 +265,7 @@ def _result(
         mu_star=th.mu_star,
         optimal_state_descriptor=descriptor,
     )
+    return r
 
 
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
@@ -243,7 +282,7 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     eps, (l, _, _), th = _capacity_inputs(channel)
     d = _eps_diagonal(eps, channel.mu)
     lam = _branch_spectra(d, d[l], eps[l])
-    s_p, s_b = _entropies(lam).tolist()
+    s_p, s_b = _float_entropies(lam.tolist())
     return _result(channel.mu, lam, s_p, s_b, l, th)
 
 
@@ -459,7 +498,8 @@ def sweep_json_blocks(curve: CapacityCurve):
     opening = "[\n"
     for part in parts:
         codes, rows = _table(part)
-        for code in np.unique(codes).tolist():
+        # The codes present, ascending; np.unique would load numpy.ma on numpy 2.
+        for code in np.flatnonzero(np.bincount(codes, minlength=len(_REGIMES))).tolist():
             if tails[code] is None:
                 tails[code] = _json_tail(part[int(np.argmax(codes == code))])
         cells = np.empty((len(rows), 14), dtype=object)

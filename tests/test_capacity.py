@@ -95,7 +95,8 @@ def _reference_entropy(row) -> float:
 
 def _test_spectra(n):
     """n valid spectra sorted descending: Dirichlet rows, rows with zeros, rows
-    with a rounded negative in [-1e-9, 0), and the pure and flat extremes."""
+    with a rounded negative in [-1e-9, 0), the pure and flat extremes, and a
+    value a hair above 1, whose entropy is clamped to 0."""
     rng = np.random.default_rng(27)
     lam = rng.dirichlet(np.full(4, 0.5), n)
     zeros = slice(n // 4, n // 2)
@@ -105,14 +106,23 @@ def _test_spectra(n):
     r = rng.uniform(1e-12, 1e-9, 3 * n // 4 - n // 2)
     lam[negative, 0] += lam[negative, 3] + r
     lam[negative, 3] = -r
-    lam[:4] = [[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0], [1.0, -1e-12, 1e-12, 0.0]]
+    lam[:5] = [[1.0, 0.0, 0.0, 0.0], [0.25] * 4, [0.5, 0.5, 0.0, 0.0], [1.0, -1e-12, 1e-12, 0.0],
+               [1.0 + 1e-10, 0.0, 0.0, -1e-10]]
     return -np.sort(-lam, axis=1)
 
 
 class TestEntropyKernel:
     """_entropies sums over the last axis with numpy's sum, which adds fewer
     than 8 terms left to right; it must match a Python sum bit for bit, for
-    every memory layout the capacity code hands it."""
+    every memory layout the capacity code hands it. _float_entropies, the
+    route of one query, must match it bit for bit and raise as it does."""
+
+    # Each route on an array of spectra, with entropies of its shape but the last axis.
+    ROUTES = {
+        "array": capacity_module._entropies,
+        "float": lambda lam: np.reshape(
+            capacity_module._float_entropies(lam.reshape(-1, 4).tolist()), lam.shape[:-1]),
+    }
 
     @staticmethod
     def layouts(lam):
@@ -136,30 +146,40 @@ class TestEntropyKernel:
             got = capacity_module._entropies(x)
             assert got.shape == x.shape[:-1], name
             assert got.tobytes() == want.reshape(got.shape).tobytes(), name
+        got = capacity_module._float_entropies(lam.tolist())
+        assert all(type(x) is float for x in got)
+        assert np.array(got).tobytes() == want.tobytes()
 
     GOOD = [0.4, 0.3, 0.2, 0.1]
     # The messages TestEntropyBits pins, for the rows that raise them.
     NEGATIVE = ([1.1, -0.1, 0.0, 0.0], "negative eigenvalue -0.1")
     WRONG_SUM = ([0.5, 0.1, 0.1, 0.1], "eigenvalues sum to 0.7999999999999999, not 1")
+    # A row that fails both tests is named by its negative value.
+    BOTH = ([1.5, -0.1, 0.0, 0.0], "negative eigenvalue -0.1")
 
     @pytest.mark.parametrize("bad", [(NEGATIVE,), (WRONG_SUM,), (NEGATIVE, WRONG_SUM),
-                                     (WRONG_SUM, NEGATIVE)])
+                                     (WRONG_SUM, NEGATIVE), (BOTH,)])
     @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
-    def test_first_bad_row_wins(self, bad, shape):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_first_bad_row_wins(self, bad, shape, route):
         rows = [self.GOOD] * 10
         for i, (row, _) in zip((3, 6), bad):
             rows[i] = row
         with pytest.raises(InvalidSpectrum) as exc:
-            capacity_module._entropies(np.array(rows).reshape(shape))
+            self.ROUTES[route](np.array(rows).reshape(shape))
         assert str(exc.value) == bad[0][1]
 
     @pytest.mark.parametrize("at", [0, 3])
+    @pytest.mark.parametrize("negative", [False, True])
     @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
-    def test_nan_in_a_later_row_raises(self, at, shape):
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_nan_in_a_later_row_raises(self, at, negative, shape, route):
         lam = np.array([self.GOOD] * 10)
         lam[9, at] = math.nan
+        if negative:  # a NaN names the total even beside a negative value
+            lam[9, 1] = -0.5
         with pytest.raises(InvalidSpectrum) as exc:
-            capacity_module._entropies(lam.reshape(shape))
+            self.ROUTES[route](lam.reshape(shape))
         assert str(exc.value) == "eigenvalues sum to nan, not 1"
 
     def test_empty(self):
@@ -532,6 +552,20 @@ class TestCapacityCurve:
                 spectrum[0] = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             curve.mu = np.zeros(11)
+
+    def test_results_are_as_init_builds_them(self):
+        # capacity_two_use and indexing build results without __init__
+        for r in (self.curve()[3], capacity_two_use(self.BASE.with_mu(0.3))):
+            rebuilt = dataclasses.replace(r)
+            assert repr(r) == repr(rebuilt) and r == rebuilt
+            assert list(vars(r)) == list(vars(rebuilt))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                r.c2 = 0.5
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                del r.mu
+            for spectrum in (r.lambdas_product, r.lambdas_bell):
+                with pytest.raises(ValueError, match="read-only"):
+                    spectrum[0] = 0.5
 
     def test_owns_its_grid(self):
         grid = np.linspace(0.0, 1.0, 5)

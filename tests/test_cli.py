@@ -736,6 +736,23 @@ class TestImports:
         proc = self._python(script, str(tmp_path / "sweep.csv"))
         assert proc.returncode == 0, proc.stderr
 
+    def test_json_writer_loads_no_module(self):
+        # np.unique loads numpy.ma on numpy 2; numpy 1 loads it with numpy itself.
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "from paulimem import PauliChannel, capacity_sweep, sweep_to_csv, sweep_to_json\n"
+            "curve = capacity_sweep(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.0),\n"
+            "                       np.linspace(0.0, 1.0, 101))\n"
+            "sweep_to_csv(curve)\n"
+            "before = set(sys.modules)\n"
+            "sweep_to_json(curve)\n"
+            "added = sorted(set(sys.modules) - before)\n"
+            "assert added == [], added\n"
+        )
+        proc = self._python(script)
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestVerify:
     def test_full_correlation_exit_zero(self, capsys):
