@@ -72,23 +72,17 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of the 4-point spectra along the last axis.
 
     The array route, for sweeps and stacks of eigvalsh outputs; _float_entropies
-    is its plain-float twin for a query of one or two spectra, equal bit for bit.
-    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
-    more negative, or a total away from 1 by more than 1e-9 raises
-    InvalidSpectrum for the first such spectrum. Sums over the last axis add
-    left to right: numpy sums fewer than 8 terms in order.
+    is its plain-float twin for a query of one or two spectra, equal bit for bit,
+    and holds the one spectrum rule: a spectrum it refuses raises InvalidSpectrum,
+    worded by it. Sums over the last axis add left to right: numpy sums fewer
+    than 8 terms in order.
     """
-    total = lam.sum(axis=-1)
     # One test of the whole array, written so that NaN, for which every
-    # comparison is false, fails it; the first bad spectrum is sought only then.
-    ok = not lam.size or (lam.min() >= -_SPECTRUM_TOL and abs(total - 1.0).max() <= _SPECTRUM_TOL)
-    if not ok:
-        low = lam.min(axis=-1)
-        good = (low >= -_SPECTRUM_TOL) & (abs(total - 1.0) <= _SPECTRUM_TOL)
-        i = np.unravel_index(np.argmin(good), good.shape)
-        if low[i] < -_SPECTRUM_TOL:
-            raise InvalidSpectrum(f"negative eigenvalue {float(low[i])!r}")
-        raise InvalidSpectrum(f"eigenvalues sum to {float(total[i])!r}, not 1")
+    # comparison is false, fails it. It compares what _float_entropies compares,
+    # with sums equal bit for bit, so that call then raises for the first bad spectrum.
+    if lam.size and not (lam.min() >= -_SPECTRUM_TOL
+                         and abs(lam.sum(axis=-1) - 1.0).max() <= _SPECTRUM_TOL):
+        _float_entropies(lam.reshape(-1, 4).tolist())
     # Zeros and rounded negatives contribute 1 log2 1 = 0.
     p = np.where(lam > 0.0, lam, 1.0)
     # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair
@@ -99,19 +93,22 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
 def _float_entropies(spectra: list) -> list:
     """_entropies of a list of 4-float spectra, as a list of floats, bit for bit.
 
-    The same checks, in the same order and with the same messages, then one
-    np.log2 call over every value and _entropies' arithmetic in Python floats:
-    each sum starts from 0.0 and adds its four terms left to right, as numpy's
-    does (so four -0.0 total 0.0). A query of one or two spectra spends most
-    of its time in numpy's per-call cost, which this route pays once instead
-    of a dozen times.
+    The spectrum rule of the package: eigenvalues in [-1e-9, 0) are rounded
+    zeros. The first spectrum with a value below -1e-9 raises InvalidSpectrum
+    naming its smallest value, and one whose total is NaN or away from 1 by
+    more than 1e-9 raises naming that total; a spectrum holding a NaN is
+    reported by its total, NaN. Then one np.log2 call over every value and
+    _entropies' arithmetic in Python floats: each sum starts from 0.0 and adds
+    its four terms left to right, as numpy's does (so four -0.0 total 0.0). A
+    query of one or two spectra spends most of its time in numpy's per-call
+    cost, which this route pays once instead of a dozen times.
     """
     for a, b, c, d in spectra:
         total = 0.0 + a + b + c + d
         # NaN fails every comparison, and a NaN value makes the total NaN.
         if not (abs(total - 1.0) <= _SPECTRUM_TOL and a >= -_SPECTRUM_TOL
                 and b >= -_SPECTRUM_TOL and c >= -_SPECTRUM_TOL and d >= -_SPECTRUM_TOL):
-            # _entropies' row minimum is NaN where the row holds one.
+            # A NaN is reported by the total, even beside a negative value.
             low = min(a, b, c, d)
             if low < -_SPECTRUM_TOL and not any(map(math.isnan, (a, b, c, d))):
                 raise InvalidSpectrum(f"negative eigenvalue {low!r}")
@@ -129,9 +126,9 @@ def _float_entropies(spectra: list) -> list:
 def entropy_bits(lambdas) -> float:
     """Von Neumann entropy -sum lam log2(lam) of a 4-point spectrum, in bits.
 
-    Eigenvalues in [-1e-9, 0) are treated as rounded zeros; a NaN, anything
-    more negative, or a total away from 1 by more than 1e-9 is rejected. One
-    spectrum takes the plain-float route, equal bit for bit to the array one.
+    A value that is not four finite numbers raises InvalidSpectrum under the
+    input contract; the spectrum is then held to _float_entropies' rule, which
+    it takes as the route of one spectrum, equal bit for bit to the array one.
     """
     lam = checked_array(lambdas, (4,), float, InvalidSpectrum, "eigenvalue")
     return _float_entropies([lam.tolist()])[0]
@@ -321,11 +318,10 @@ class CapacityCurve(Sequence):
 
 
 def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
-    """mu_grid as a 1-D float array; raises OutOfRange naming its first value outside [0, 1]."""
-    mu = np.asarray(mu_grid, dtype=float)
-    if mu.ndim != 1:
-        raise OutOfRange(f"mu grid must be one-dimensional, got shape {mu.shape}")
-    bad = ~((mu >= 0.0) & (mu <= 1.0))
+    """mu_grid as a 1-D float array, checked by checked_array; raises OutOfRange naming
+    its first value outside [0, 1]."""
+    mu = checked_array(mu_grid, (None,), float, OutOfRange, "mu grid")
+    bad = (mu < 0.0) | (mu > 1.0)
     if bad.any():
         channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
     return mu
@@ -334,8 +330,9 @@ def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
 def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:
     """Capacity at every memory value of the grid, with q held fixed.
 
-    The grid is checked as a whole first: the first value outside [0, 1]
-    (NaN and infinities included) raises OutOfRange, as PauliChannel would.
+    The grid is checked as a whole first, by the input contract (a 1-D list or
+    array of finite numbers) and then for the first value outside [0, 1], each
+    raising OutOfRange, the latter as PauliChannel would.
     The spectra and their entropies are then array passes over _BLOCK_ROWS
     rows at a time, into columns allocated once; eps, the ordering and the
     thresholds are computed once.

@@ -156,17 +156,48 @@ class TestEntropyKernel:
     WRONG_SUM = ([0.5, 0.1, 0.1, 0.1], "eigenvalues sum to 0.7999999999999999, not 1")
     # A row that fails both tests is named by its negative value.
     BOTH = ([1.5, -0.1, 0.0, 0.0], "negative eigenvalue -0.1")
+    # Four -0.0 total 0.0, whichever zero numpy's own sum starts from.
+    ZEROS = ([-0.0] * 4, "eigenvalues sum to 0.0, not 1")
+    # A NaN is named by the total, even beside a negative value.
+    NAN_NEGATIVE = ([0.6, -0.5, math.nan, 0.2], "eigenvalues sum to nan, not 1")
+
+    @staticmethod
+    def stack(bad, shape):
+        """Ten good spectra, with the bad rows at 3 and 6, in the given shape."""
+        rows = [TestEntropyKernel.GOOD] * 10
+        for i, (row, _) in zip((3, 6), bad):
+            rows[i] = row
+        return np.array(rows).reshape(shape)
 
     @pytest.mark.parametrize("bad", [(NEGATIVE,), (WRONG_SUM,), (NEGATIVE, WRONG_SUM),
-                                     (WRONG_SUM, NEGATIVE), (BOTH,)])
+                                     (WRONG_SUM, NEGATIVE), (BOTH,), (ZEROS,), (NAN_NEGATIVE,),
+                                     (NEGATIVE, NAN_NEGATIVE), (NAN_NEGATIVE, NEGATIVE)])
     @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
     @pytest.mark.parametrize("route", ROUTES)
     def test_first_bad_row_wins(self, bad, shape, route):
-        rows = [self.GOOD] * 10
-        for i, (row, _) in zip((3, 6), bad):
-            rows[i] = row
         with pytest.raises(InvalidSpectrum) as exc:
-            self.ROUTES[route](np.array(rows).reshape(shape))
+            self.ROUTES[route](self.stack(bad, shape))
+        assert str(exc.value) == bad[0][1]
+
+    # The array and float routes, and the two that hand them spectra: entropy_bits
+    # one spectrum at a time, and _output_entropies the eigvalsh of a stack of
+    # diagonal output matrices, which is each diagonal in ascending order.
+    EVERY_ROUTE = {
+        **ROUTES,
+        "entropy_bits": lambda lam: [entropy_bits(row) for row in lam.reshape(-1, 4)],
+        "eigvalsh": lambda lam: capacity_module._output_entropies(lam[..., None] * np.eye(4)),
+    }
+
+    # Rows whose message does not depend on the order of their values, as eigvalsh
+    # reorders them. entropy_bits names a NaN by the input contract ("eigenvalue
+    # is NaN") before the spectrum rule sees it, and the eigvalsh of a matrix that
+    # holds a NaN is not defined, so NAN_NEGATIVE takes the first two routes only.
+    @pytest.mark.parametrize("bad", [(NEGATIVE,), (BOTH,), (ZEROS,), (ZEROS, NEGATIVE)])
+    @pytest.mark.parametrize("shape", [(10, 4), (5, 2, 4)])
+    @pytest.mark.parametrize("route", EVERY_ROUTE)
+    def test_every_route_words_a_bad_spectrum_alike(self, bad, shape, route):
+        with pytest.raises(InvalidSpectrum) as exc:
+            self.EVERY_ROUTE[route](self.stack(bad, shape))
         assert str(exc.value) == bad[0][1]
 
     @pytest.mark.parametrize("at", [0, 3])
@@ -488,7 +519,7 @@ class TestSweepGrid:
 
     def test_rejects_grid_that_is_not_a_list(self):
         for g in (0.5, [[0.0, 0.5]], np.zeros((3, 1))):
-            with pytest.raises(OutOfRange, match="one-dimensional"):
+            with pytest.raises(OutOfRange, match="has shape"):
                 capacity_sweep(self.BASE, g)
 
 

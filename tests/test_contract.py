@@ -24,9 +24,11 @@ from paulimem import (
     OutOfRange,
     PauliChannel,
     PureStateParams,
+    SearchConfig,
     a2_coefficient,
     apply_channel,
     apply_channel_weights,
+    capacity_sweep,
     channel_params,
     density_matrix,
     eig_hermitian4,
@@ -40,6 +42,7 @@ from paulimem import (
     state_vector,
     state_vectors,
     verify_ensemble_achievability,
+    verify_optimality_grid,
     weights_to_density,
 )
 from conftest import ILLUSTRATION_Q
@@ -75,6 +78,12 @@ CASES = {
     "params_from_states": (params_from_states, NonNormalized, VECS, [(None, 4)],
                            "state vector"),
     "params_from_state": (params_from_state, NonNormalized, VECS[0], [(4,)], "state vector"),
+    "capacity_sweep": (partial(capacity_sweep, CHANNEL), OutOfRange, [0.0, 0.3, 1.0], [(None,)],
+                       "mu grid"),
+    # Three points, the fewest test_nan_is_named can set a NaN in, and one start each.
+    "verify_optimality_grid": (partial(verify_optimality_grid, CHANNEL,
+                                       cfg=SearchConfig(restarts=1)),
+                               OutOfRange, [0.0, 0.3, 1.0], [(None,)], "mu grid"),
 }
 
 
