@@ -1,69 +1,126 @@
-"""Output spectra, entropies, regimes, and the two-use capacity curve.
+"""The closed form in numpy arrays: the capacity at one point, the capacity curve along a
+memory grid with its CSV and JSON writers, and the channel's numpy views and actions.
 
-The two candidate input families (product states along the dominant Pauli
-axis, and Bell states) both admit closed-form output spectra. The capacity
-per use is 1 - S/2 with S the smaller of the two output entropies; the
-equal-weight ensemble of the sixteen Pauli-conjugated copies of the optimal
-input achieves it.
+capacity_two_use is closed_form._point with its spectra as a read-only array; a
+sweep evaluates the same spectrum expressions on columns, with the same libm log2.
+The equal-weight ensemble of the sixteen Pauli-conjugated copies of the optimal
+input achieves the capacity.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .channel import ChannelParams, PauliChannel, Thresholds, _capacity_inputs, apply_channel
-from .errors import InvalidSpectrum, InvalidState, OutOfRange, checked_array
-from .pauli import PAULI2
+from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps, _eps_diagonal, _epsilon_matrix
+from .channel import _params
+from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, Regime
+from .closed_form import _fields, _float_entropies, _log2s, _point, _regime, _spectrum_values
+from .closed_form import _to_dict, _winning_spectrum, csv_text, json_text
+from .errors import InvalidSpectrum, InvalidState, OutOfRange
+from .pauli import PAULI2, SIGN_TABLE
+from .states import _checked_weights, checked_array
 
-_SPECTRUM_TOL = 1e-9
-_TIE_TOL = 1e-12
+_TRACE_TOL = 1e-9
 _ENSEMBLE_ENTROPY_TOL = 1e-10
 # Rows per block of a sweep's entropies and of its CSV and JSON text: large
 # enough that numpy's per-call cost is spread thin, small enough that a
 # block's temporaries, Python floats and text stay a few MB.
 _BLOCK_ROWS = 8192
 
-SWEEP_CSV_HEADER = "mu,regime,c2,entropy_product,entropy_bell,l1,l2,l3,l4"
-# Every CSV number, in format_number and in the sweep's CSV row template.
-_NUMBER_SPEC = ".12g"
+
+@dataclass(frozen=True)
+class ChannelParams:
+    """Everything derived from a channel: eps vector, eps matrix, magnitude
+    ordering and the two thresholds."""
+
+    eps: np.ndarray
+    eps2: np.ndarray
+    ordering: tuple[int, int, int]
+    thresholds: Thresholds
+
+    def __post_init__(self):
+        self.eps.setflags(write=False)
+        self.eps2.setflags(write=False)
 
 
-class Regime(str, Enum):
-    """Which input family minimizes the output entropy."""
-
-    PRODUCT = "product"
-    ENTANGLED = "entangled"
-    TIE = "tie"
+def channel_params(channel: PauliChannel) -> ChannelParams:
+    """channel.py's plain-float parameters of the channel, as arrays."""
+    eps, eps2, order, th = _params(channel)
+    return ChannelParams(np.array(eps), np.array(eps2), order, th)
 
 
-def _eps_diagonal(eps: list, mu) -> list:
-    """eps_kk(mu) = (1 - mu) eps_k^2 + mu for k = 0..3, bit for bit the diagonal
-    of the eps_kk' matrix; mu is a float (one point) or an (N,) grid."""
-    return [(1.0 - mu) * x * x + mu for x in eps]
+def epsilon_vector(channel: PauliChannel) -> np.ndarray:
+    """Signed error sums eps_n = sum_k q_k s_kn; eps_0 is identically 1.
+
+    Accumulated left to right in index order so that decimal probabilities
+    cancel exactly (a channel with q0 + q1 == q2 + q3 really reports eps_1 == 0).
+    """
+    return np.array(_eps(channel.q))
+
+
+def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
+    """The symmetric 4x4 scaling factors eps_kk' of the two-qubit Pauli basis.
+
+    eps_kk' = (1 - mu) eps_k eps_k' + mu eps_k'' where sigma_k sigma_k' is
+    proportional to sigma_k''. Row and column 0 reproduce the single-use
+    values; the diagonal grows affinely from eps_k^2 at mu = 0 to 1 at mu = 1.
+    """
+    return np.array(_epsilon_matrix(_eps(channel.q), channel.mu))
+
+
+def epsilon_matrix_bruteforce(channel: PauliChannel) -> np.ndarray:
+    """Same matrix, straight from the joint error distribution.
+
+    eps_nk = sum_ij p_ij s_in s_jk; kept as an independent route for testing
+    the closed form.
+    """
+    p = channel.joint_probabilities()
+    return SIGN_TABLE.T @ p @ SIGN_TABLE
+
+
+def apply_channel(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
+    """Operator-sum action sum_ij p_ij (sigma_i x sigma_j) rho (sigma_i x sigma_j).
+
+    rho must be Hermitian with unit trace; the output is again Hermitian,
+    unit-trace and positive semidefinite.
+    """
+    rho = checked_array(rho, (4, 4), complex, InvalidState, "density operator")
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= _TRACE_TOL:
+        raise InvalidState(f"trace {tr}, expected 1")
+    if not np.abs(rho - rho.conj().T).max() <= _TRACE_TOL:
+        raise InvalidState("density operator is not Hermitian")
+    p = channel.joint_probabilities()
+    out = np.zeros((4, 4), dtype=complex)
+    for i in range(4):
+        for j in range(4):
+            u = PAULI2[i, j]
+            out += p[i, j] * (u @ rho @ u)
+    return out
+
+
+def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
+    """Channel action in the Pauli basis: every weight scales by eps_nk.
+
+    Expects the weights of a unit-trace operator (w[0, 0] = 1).
+    """
+    return epsilon_matrix(channel) * _checked_weights(w)
 
 
 def _branch_spectra(d, e_ll, e_l) -> np.ndarray:
     """Output spectra of both input families, shape (2, 4), or (N, 2, 4) over a grid.
 
-    d[k] = eps_kk for k = 0..3 and e_ll = d[l], each a float (one point) or an
-    (N,) column; l is the dominant axis and e_l = eps_l. [..., 0, :] is the
-    product spectrum (see spectrum_product_regime), [..., 1, :] the Bell
-    spectrum (see spectrum_bell_regime), each sorted descending.
+    The arguments are _spectrum_values'; [..., 0, :] is the product spectrum
+    (see spectrum_product_regime), [..., 1, :] the Bell spectrum (see
+    spectrum_bell_regime), each sorted descending.
     """
-    e11, e22, e33 = d[1], d[2], d[3]
-    a, b = 1.0 + e_ll, 1.0 - e_ll
-    c, f = 1.0 + e33, 1.0 - e33
-    # One literal for both spectra: (8,) at one point, (8, N) over a grid.
-    lam = np.array([a + 2.0 * e_l, a - 2.0 * e_l, b, b,
-                    c + e11 + e22, c - e11 - e22, f + e11 - e22, f - e11 + e22])
-    lam = lam.T.reshape(np.shape(e33) + (2, 4)) / 4.0
+    # (8,) at one point, (8, N) over a grid.
+    lam = np.array(_spectrum_values(d, e_ll, e_l))
+    lam = lam.T.reshape(np.shape(d[3]) + (2, 4))
     lam.sort(axis=-1)
     return lam[..., ::-1]
 
@@ -71,9 +128,9 @@ def _branch_spectra(d, e_ll, e_l) -> np.ndarray:
 def _entropies(lam: np.ndarray) -> np.ndarray:
     """Von Neumann entropies in bits of the 4-point spectra along the last axis.
 
-    The array route, for sweeps and stacks of eigvalsh outputs; _float_entropies
-    is its plain-float twin for a query of one or two spectra, equal bit for bit,
-    and holds the one spectrum rule: a spectrum it refuses raises InvalidSpectrum,
+    The array route, for sweeps and stacks of eigvalsh outputs: the arithmetic
+    of closed_form._float_entropies, with the same libm log2, on a whole array,
+    equal to it bit for bit. A spectrum that rule refuses raises InvalidSpectrum,
     worded by it. Sums over the last axis add left to right: numpy sums fewer
     than 8 terms in order.
     """
@@ -85,50 +142,18 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
         _float_entropies(lam.reshape(-1, 4).tolist())
     # Zeros and rounded negatives contribute 1 log2 1 = 0.
     p = np.where(lam > 0.0, lam, 1.0)
+    log_p = np.fromiter(_log2s(memoryview(p.ravel())), float, p.size).reshape(p.shape)
     # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair
     # above 1 give a tiny negative sum, clamped to 0.
-    return np.maximum(0.0 - (p * np.log2(p)).sum(axis=-1), 0.0)
-
-
-def _float_entropies(spectra: list) -> list:
-    """_entropies of a list of 4-float spectra, as a list of floats, bit for bit.
-
-    The spectrum rule of the package: eigenvalues in [-1e-9, 0) are rounded
-    zeros. The first spectrum with a value below -1e-9 raises InvalidSpectrum
-    naming its smallest value, and one whose total is NaN or away from 1 by
-    more than 1e-9 raises naming that total; a spectrum holding a NaN is
-    reported by its total, NaN. Then one np.log2 call over every value and
-    _entropies' arithmetic in Python floats: each sum starts from 0.0 and adds
-    its four terms left to right, as numpy's does (so four -0.0 total 0.0). A
-    query of one or two spectra spends most of its time in numpy's per-call
-    cost, which this route pays once instead of a dozen times.
-    """
-    for a, b, c, d in spectra:
-        total = 0.0 + a + b + c + d
-        # NaN fails every comparison, and a NaN value makes the total NaN.
-        if not (abs(total - 1.0) <= _SPECTRUM_TOL and a >= -_SPECTRUM_TOL
-                and b >= -_SPECTRUM_TOL and c >= -_SPECTRUM_TOL and d >= -_SPECTRUM_TOL):
-            # A NaN is reported by the total, even beside a negative value.
-            low = min(a, b, c, d)
-            if low < -_SPECTRUM_TOL and not any(map(math.isnan, (a, b, c, d))):
-                raise InvalidSpectrum(f"negative eigenvalue {low!r}")
-            raise InvalidSpectrum(f"eigenvalues sum to {total!r}, not 1")
-    p = [x if x > 0.0 else 1.0 for spectrum in spectra for x in spectrum]
-    log_p = np.log2(p).tolist()
-    entropies = []
-    for i in range(0, len(p), 4):
-        s = 0.0 - (0.0 + p[i] * log_p[i] + p[i + 1] * log_p[i + 1]
-                   + p[i + 2] * log_p[i + 2] + p[i + 3] * log_p[i + 3])
-        entropies.append(s if s > 0.0 else 0.0)
-    return entropies
+    return np.maximum(0.0 - (p * log_p).sum(axis=-1), 0.0)
 
 
 def entropy_bits(lambdas) -> float:
     """Von Neumann entropy -sum lam log2(lam) of a 4-point spectrum, in bits.
 
-    A value that is not four finite numbers raises InvalidSpectrum under the
-    input contract; the spectrum is then held to _float_entropies' rule, which
-    it takes as the route of one spectrum, equal bit for bit to the array one.
+    A value that is not four finite real numbers raises InvalidSpectrum under
+    the input contract; the spectrum is then held to the spectrum rule of
+    closed_form._float_entropies, which gives its entropy.
     """
     lam = checked_array(lambdas, (4,), float, InvalidSpectrum, "eigenvalue")
     return _float_entropies([lam.tolist()])[0]
@@ -188,80 +213,18 @@ class CapacityResult:
 
     def winning_spectrum(self) -> np.ndarray:
         """Spectrum of the branch named in optimal_state_descriptor."""
-        if self.optimal_state_descriptor["family"] == "product":
-            return self.lambdas_product
-        return self.lambdas_bell
+        return _winning_spectrum(self)
 
     def to_dict(self) -> dict:
-        return {
-            "mu": self.mu,
-            "regime": self.regime.value,
-            "c2": self.c2,
-            "entropy_product": self.entropy_product,
-            "entropy_bell": self.entropy_bell,
-            "lambdas_product": [float(x) for x in self.lambdas_product],
-            "lambdas_bell": [float(x) for x in self.lambdas_bell],
-            "mu_ml": self.mu_ml,
-            "mu_star": self.mu_star,
-            "optimal_state": self.optimal_state_descriptor,
-        }
+        return _to_dict(self)
 
 
-def format_number(x) -> str:
-    """CSV text of one cell: strings as is, true/false for booleans, else 12 significant digits."""
-    if isinstance(x, str):
-        return x
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    return format(float(x) + 0.0, _NUMBER_SPEC)  # + 0.0 normalizes -0.0
-
-
-def csv_text(header: str, rows) -> str:
-    """The header line, then one line per row with each cell through format_number."""
-    lines = [header]
-    lines.extend(",".join(map(format_number, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def json_text(obj) -> str:
-    """obj as JSON indented by two spaces, with a final newline."""
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _regime(s_p: float, s_b: float) -> Regime:
-    """The family of smaller output entropy; entropies within 1e-12 are a TIE."""
-    if abs(s_p - s_b) < _TIE_TOL:
-        return Regime.TIE
-    if s_p < s_b:
-        return Regime.PRODUCT
-    return Regime.ENTANGLED
-
-
-def _result(
-    mu: float, lam: np.ndarray, s_p: float, s_b: float, l: int, th: Thresholds
-) -> CapacityResult:
-    """CapacityResult at one mu from both branch spectra lam, shape (2, 4), and their entropies."""
-    regime = _regime(s_p, s_b)
-    if regime is Regime.ENTANGLED:
-        descriptor = {"family": "bell", "signs": [1, -1, 1]}
-    else:
-        descriptor = {"family": "product", "l": l}
-    lam.setflags(write=False)  # and with it both spectra, as __post_init__ does
+def _result(fields: dict) -> CapacityResult:
+    """CapacityResult of closed_form._fields, whose spectra are read-only arrays."""
     # The fields as __init__ sets them, without the object.__setattr__ call per
     # field that a frozen dataclass's __init__ makes.
     r = object.__new__(CapacityResult)
-    vars(r).update(
-        mu=mu,
-        regime=regime,
-        lambdas_product=lam[0],
-        lambdas_bell=lam[1],
-        entropy_product=s_p,
-        entropy_bell=s_b,
-        c2=1.0 - min(s_p, s_b) / 2.0,
-        mu_ml=th.mu_ml,
-        mu_star=th.mu_star,
-        optimal_state_descriptor=descriptor,
-    )
+    vars(r).update(fields)
     return r
 
 
@@ -274,13 +237,14 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     decision. mu_star is where the two output spectra have equal purity
     sum(lam^2), not equal entropy, so the entropies can still differ there
     by a few hundredths of a bit. On a tie the product family is named in
-    the descriptor; both families are then optimal.
+    the descriptor; both families are then optimal. The values are those of
+    closed_form._point, with its two spectra as rows of one array.
     """
-    eps, (l, _, _), th = _capacity_inputs(channel)
-    d = _eps_diagonal(eps, channel.mu)
-    lam = _branch_spectra(d, d[l], eps[l])
-    s_p, s_b = _float_entropies(lam.tolist())
-    return _result(channel.mu, lam, s_p, s_b, l, th)
+    fields = _point(channel)
+    lam = np.array([fields["lambdas_product"], fields["lambdas_bell"]])
+    lam.setflags(write=False)  # and with it both rows, as __post_init__ does
+    fields["lambdas_product"], fields["lambdas_bell"] = lam[0], lam[1]
+    return _result(fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,7 +278,8 @@ class CapacityCurve(Sequence):
             )
         i = operator.index(i)
         s_p, s_b = self.entropies[i].tolist()
-        return _result(self.mu[i].item(), self.spectra[i], s_p, s_b, self.l, self.thresholds)
+        lam_p, lam_b = self.spectra[i, 0], self.spectra[i, 1]  # views of the read-only column
+        return _result(_fields(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds))
 
 
 def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:

@@ -5,6 +5,11 @@ applies it to each of two qubits; with probability mu the second qubit suffers
 the *same* transformation as the first, with probability 1 - mu an independent
 one. Everything the capacity analysis needs derives from the signed error sums
 eps_n and the 4x4 matrix eps_nk that scales the Pauli components of a state.
+
+This module works in plain Python floats and imports no numpy (joint_probabilities
+imports it when called), so the point commands of the CLI run without it;
+capacity.py holds the numpy views (ChannelParams, epsilon_vector,
+epsilon_matrix) and the operator-sum routes.
 """
 
 from __future__ import annotations
@@ -12,14 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
-import numpy as np
-
-from .errors import InvalidState, NonNormalized, OutOfRange, checked_array
-from .pauli import PAULI2, PRODUCT_INDEX, SIGN_TABLE
-from .states import _checked_weights
+from .errors import NonNormalized, OutOfRange
 
 _SUM_TOL = 1e-9
-_TRACE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,12 @@ class PauliChannel:
         """Same error distribution, different memory."""
         return PauliChannel(self.q, mu)
 
-    def joint_probabilities(self) -> np.ndarray:
-        """p[i, j]: probability that sigma_i hits the first use and sigma_j the second."""
+    def joint_probabilities(self) -> "np.ndarray":
+        """p[i, j]: probability that sigma_i hits the first use and sigma_j the second.
+
+        The one array a channel gives, so numpy is imported here, on first use."""
+        import numpy as np
+
         q = np.array(self.q)
         return (1.0 - self.mu) * np.outer(q, q) + self.mu * np.diag(q)
 
@@ -103,38 +107,30 @@ def _eps(q: tuple) -> list[float]:
     return [1.0, q0 + q1 - q2 - q3, q0 - q1 + q2 - q3, q0 - q1 - q2 + q3]
 
 
-def epsilon_vector(channel: PauliChannel) -> np.ndarray:
-    """Signed error sums eps_n = sum_k q_k s_kn; eps_0 is identically 1.
-
-    Accumulated left to right in index order so that decimal probabilities
-    cancel exactly (a channel with q0 + q1 == q2 + q3 really reports eps_1 == 0).
-    """
-    return np.array(_eps(channel.q))
+# (k, k) for k = 0..3, and every (k, k') row by row: entries of the eps matrix.
+_DIAGONAL = tuple((k, k) for k in range(4))
+_ENTRIES = tuple((k, kp) for k in range(4) for kp in range(4))
 
 
-def epsilon_matrix(channel: PauliChannel) -> np.ndarray:
-    """The symmetric 4x4 scaling factors eps_kk' of the two-qubit Pauli basis.
-
-    eps_kk' = (1 - mu) eps_k eps_k' + mu eps_k'' where sigma_k sigma_k' is
-    proportional to sigma_k''. Row and column 0 reproduce the single-use
-    values; the diagonal grows affinely from eps_k^2 at mu = 0 to 1 at mu = 1.
-    """
-    return _epsilon_matrix(epsilon_vector(channel), channel.mu)
+def _eps_entries(eps: list, mu, entries: tuple) -> list:
+    """eps_kk' = (1 - mu) eps_k eps_k' + mu eps_k'' at each (k, k') of entries, where
+    sigma_k sigma_k' is proportional to sigma_k'' and k'' = k XOR k' (two-bit words);
+    mu is a float (one point) or an (N,) grid. On the diagonal eps_k'' = eps_0 = 1."""
+    x = 1.0 - mu
+    return [x * eps[k] * eps[kp] + mu * eps[k ^ kp] for k, kp in entries]
 
 
-def _epsilon_matrix(eps: np.ndarray, mu: float) -> np.ndarray:
-    """eps_kk' from the eps vector at one memory value mu."""
-    return (1.0 - mu) * eps[:, None] * eps[None, :] + mu * eps[PRODUCT_INDEX]
+def _eps_diagonal(eps: list, mu) -> list:
+    """eps_kk(mu) for k = 0..3, bit for bit the diagonal of the eps matrix."""
+    return _eps_entries(eps, mu, _DIAGONAL)
 
 
-def epsilon_matrix_bruteforce(channel: PauliChannel) -> np.ndarray:
-    """Same matrix, straight from the joint error distribution.
-
-    eps_nk = sum_ij p_ij s_in s_jk; kept as an independent route for testing
-    the closed form.
-    """
-    p = channel.joint_probabilities()
-    return SIGN_TABLE.T @ p @ SIGN_TABLE
+def _epsilon_matrix(eps: list, mu: float) -> list[list[float]]:
+    """The symmetric 4x4 scaling factors eps_kk' of the two-qubit Pauli basis, as
+    plain floats. Row and column 0 reproduce the single-use values; the diagonal
+    grows affinely from eps_k^2 at mu = 0 to 1 at mu = 1."""
+    e = _eps_entries(eps, mu, _ENTRIES)
+    return [e[k:k + 4] for k in range(0, 16, 4)]
 
 
 def ordering(channel: PauliChannel) -> tuple[int, int, int]:
@@ -210,56 +206,11 @@ def _thresholds(kept_flipped: list, d: list[float], order: tuple[int, int, int])
     return Thresholds(max(mu_ml, 0.0), max(mu_ml + delta, 0.0))
 
 
-@dataclass(frozen=True)
-class ChannelParams:
-    """Everything derived from a channel: eps vector, eps matrix, magnitude
-    ordering and the two thresholds."""
-
-    eps: np.ndarray
-    eps2: np.ndarray
-    ordering: tuple[int, int, int]
-    thresholds: Thresholds
-
-    def __post_init__(self):
-        self.eps.setflags(write=False)
-        self.eps2.setflags(write=False)
-
-
-def channel_params(channel: PauliChannel) -> ChannelParams:
+def _params(channel: PauliChannel) -> tuple[list, list, tuple[int, int, int], Thresholds]:
+    """eps, the eps matrix, the ordering and the thresholds, in plain floats: the
+    fields of capacity.ChannelParams and the output of the params command."""
     eps, order, th = _capacity_inputs(channel)
-    eps = np.array(eps)
-    return ChannelParams(
-        eps=eps, eps2=_epsilon_matrix(eps, channel.mu), ordering=order, thresholds=th
-    )
-
-
-def apply_channel(channel: PauliChannel, rho: np.ndarray) -> np.ndarray:
-    """Operator-sum action sum_ij p_ij (sigma_i x sigma_j) rho (sigma_i x sigma_j).
-
-    rho must be Hermitian with unit trace; the output is again Hermitian,
-    unit-trace and positive semidefinite.
-    """
-    rho = checked_array(rho, (4, 4), complex, InvalidState, "density operator")
-    tr = complex(np.trace(rho))
-    if not abs(tr - 1.0) <= _TRACE_TOL:
-        raise InvalidState(f"trace {tr}, expected 1")
-    if not np.abs(rho - rho.conj().T).max() <= _TRACE_TOL:
-        raise InvalidState("density operator is not Hermitian")
-    p = channel.joint_probabilities()
-    out = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        for j in range(4):
-            u = PAULI2[i, j]
-            out += p[i, j] * (u @ rho @ u)
-    return out
-
-
-def apply_channel_weights(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
-    """Channel action in the Pauli basis: every weight scales by eps_nk.
-
-    Expects the weights of a unit-trace operator (w[0, 0] = 1).
-    """
-    return epsilon_matrix(channel) * _checked_weights(w)
+    return eps, _epsilon_matrix(eps, channel.mu), order, th
 
 
 def _config_number(value, key: str) -> float:

@@ -5,7 +5,9 @@ value), sweep (capacity curve over a memory grid), verify (brute-force check
 of the optimal families). Output is CSV or JSON on stdout or --out; exit
 codes are 0 (success), 1 (verification finding), 2 (usage or input error).
 
-Only verify imports the oracle, so the other commands never load it.
+Only verify imports the oracle, and only sweep and verify import numpy: capacity,
+params and thresholds run on the plain-float closed form of channel.py and
+closed_form.py, and a usage or input error exits before numpy would load.
 """
 
 from __future__ import annotations
@@ -21,12 +23,10 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
+from types import SimpleNamespace
 
-import numpy as np
-
-from .capacity import capacity_sweep, csv_text, json_text
-from .capacity import sweep_csv_blocks, sweep_json_blocks
-from .channel import FAMILIES, PauliChannel, channel_from_config, channel_params, thresholds
+from .channel import FAMILIES, PauliChannel, _params, channel_from_config, thresholds
+from .closed_form import SWEEP_CSV_HEADER, _point, _to_dict, _winning_spectrum, csv_text, json_text
 from .errors import PauliMemError
 
 
@@ -49,7 +49,7 @@ def _parse_q(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _parse_grid(text: str) -> np.ndarray:
+def _parse_grid(text: str) -> Sequence[float]:
     parts = text.split(":")
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("expected START:END:STEP")
@@ -90,14 +90,17 @@ def _parse_grid(text: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"grid out of range in {text!r}") from None
 
 
-def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> np.ndarray:
-    """min(s + k t, e) / scale for k = 0..n, each the float nearest the exact quotient.
+def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> Sequence[float]:
+    """min(s + k t, e) / scale for k = 0..n as a numpy array, each the float nearest
+    the exact quotient.
 
     While those integers and scale are below 2^53, float64 holds them exactly
     and its division rounds correctly, so one array division serves; past
     that, Python's division of integers, which rounds correctly too, runs
-    once per value.
+    once per value. Only a command given --mu-grid loads numpy, here.
     """
+    import numpy as np
+
     if max(abs(s), abs(e), t, abs(s + n * t), scale) < _EXACT_INT:
         k = np.arange(n + 1, dtype=np.int64)
         return np.minimum(s + t * k, e) / scale
@@ -167,19 +170,19 @@ def _load_channel(args, reads) -> tuple[PauliChannel, Sequence[float]]:
 
 
 def _cmd_params(args, channel, grid) -> tuple[Iterable[str], int]:
-    cp = channel_params(channel)
+    eps, eps2, order, _ = _params(channel)
     if args.format == "json":
         payload = {
             "q": list(channel.q),
             "mu": channel.mu,
-            "eps": cp.eps.tolist(),
-            "eps_matrix": cp.eps2.tolist(),
-            "ordering": list(cp.ordering),
+            "eps": eps,
+            "eps_matrix": eps2,
+            "ordering": list(order),
         }
         return [json_text(payload)], 0
-    pairs = [(f"eps_{n}", cp.eps[n]) for n in range(4)]
-    pairs += [(f"eps_{n}{k}", cp.eps2[n, k]) for n in range(4) for k in range(4)]
-    pairs += zip(("ordering_l", "ordering_m", "ordering_s"), cp.ordering)
+    pairs = [(f"eps_{n}", eps[n]) for n in range(4)]
+    pairs += [(f"eps_{n}{k}", eps2[n][k]) for n in range(4) for k in range(4)]
+    pairs += zip(("ordering_l", "ordering_m", "ordering_s"), order)
     return [csv_text("key,value", pairs)], 0
 
 
@@ -192,13 +195,17 @@ def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
-    results = capacity_sweep(channel, grid)
+    # capacity_two_use in plain floats, in the layout of one sweep entry.
+    r = SimpleNamespace(**_point(channel))
     if args.format == "json":
-        return [json_text(results[0].to_dict())], 0
-    return sweep_csv_blocks(results), 0
+        return [json_text(_to_dict(r))], 0
+    row = (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *_winning_spectrum(r))
+    return [csv_text(SWEEP_CSV_HEADER, [row])], 0
 
 
 def _cmd_sweep(args, channel, grid) -> tuple[Iterable[str], int]:
+    from .capacity import capacity_sweep, sweep_csv_blocks, sweep_json_blocks
+
     results = capacity_sweep(channel, grid)
     if args.format == "json":
         return sweep_json_blocks(results), 0

@@ -1,7 +1,8 @@
-"""Exception types shared across the package, and checked_array, the one check every
-public function that takes an array makes first, raising the subclass it raises elsewhere."""
+"""Exception types shared across the package, and is_integer; no numpy is imported here.
 
-import numpy as np
+The array input contract, checked_array, lives in states.py, beside numpy."""
+
+from numbers import Integral
 
 
 class PauliMemError(ValueError):
@@ -36,19 +37,7 @@ class InvalidSpectrum(PauliMemError):
     """An eigenvalue list is not a valid probability spectrum."""
 
 
-def checked_array(x, shape: tuple, dtype, error: type, name: str) -> np.ndarray:
-    """x as a finite dtype array of the given shape (None: any length), or error naming name."""
-    try:
-        a = np.asarray(x, dtype=dtype)
-    except (TypeError, ValueError):
-        raise error(f"{name} entries must be numbers") from None
-    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
-        raise error(f"{name} has shape {a.shape}, expected {shape}")
-    if not np.isfinite(a).all():
-        raise error(f"{name} is NaN" if np.isnan(a).any() else f"{name} is not finite")
-    return a
-
-
 def is_integer(x) -> bool:
-    """x is a Python or numpy integer; not a bool (True == 1), float or string."""
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+    """x is a Python or numpy integer (numpy registers its integers as numbers.Integral);
+    not a bool (True == 1), float or string."""
+    return isinstance(x, Integral) and not isinstance(x, bool)

@@ -20,13 +20,15 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use, csv_text, json_text
-from .channel import PauliChannel, epsilon_matrix, epsilon_vector
-from .errors import NonHermitian, OutOfRange, checked_array, is_integer
+from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use
+from .channel import PauliChannel, _eps, _epsilon_matrix
+from .closed_form import csv_text, json_text
+from .errors import NonHermitian, OutOfRange, is_integer
 from .pauli import PAULI2
 from .states import (
     PureStateParams,
     _checked_weights,
+    checked_array,
     density_matrix,
     params_from_states,
     pauli_weights,
@@ -133,8 +135,8 @@ def output_matrix(channel: PauliChannel, w: np.ndarray) -> np.ndarray:
     edge weights, and the double-flip entries the transverse block.
     """
     w = _checked_weights(w).tolist()
-    eps = epsilon_vector(channel).tolist()
-    e = epsilon_matrix(channel).tolist()
+    eps = _eps(channel.q)
+    e = _epsilon_matrix(eps, channel.mu)
     out = np.empty((4, 4), dtype=complex)
     for f in (0, 1):
         sf = -1.0 if f else 1.0
@@ -382,8 +384,8 @@ def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
     anything else raises OutOfRange.
     """
     try:
-        params = np.atleast_2d(np.asarray(params, dtype=float))
-    except (TypeError, ValueError):
+        params = np.atleast_2d(params)  # state_vectors holds it to the input contract
+    except ValueError:  # a ragged list
         raise OutOfRange("parameter rows must be numbers") from None
     superop = channel_superoperator(channel)
     return _output_entropies(_outputs(superop, _projectors(state_vectors(params))))

@@ -3,6 +3,9 @@
 Three angles fix the four real amplitudes through a hyperspherical
 parametrization, three phases dress the |11>, |10> and |01> components. The
 family covers every pure two-qubit state up to an irrelevant global phase.
+
+checked_array, the one check every public function that takes an array makes
+first, lives here, beside numpy: the channel core and the errors import none.
 """
 
 from __future__ import annotations
@@ -13,11 +16,34 @@ from math import cos, sin
 import numpy as np
 
 from .errors import BadIndex, InvalidState, NonHermitian, NonNormalized, NotPure, OutOfRange
-from .errors import checked_array, is_integer
+from .errors import is_integer
 from .pauli import PAULI2, SIGMA
 
 _NORM_TOL = 1e-9
 _IMAG_TOL = 1e-9
+# The dtype kinds each target takes, and how a refusal words them: numpy would parse a
+# string of digits, drop an imaginary part, and read True as 1.
+_KINDS = {float: ("iuf", "real numbers"), complex: ("iufc", "numbers")}
+
+
+def checked_array(x, shape: tuple, dtype, error: type, name: str) -> np.ndarray:
+    """x as a finite dtype array of the given shape (None: any length), or error naming name.
+
+    An array of bools, strings or objects, or a complex one for a float dtype, is
+    refused before it is converted."""
+    kinds, words = _KINDS[dtype]
+    try:
+        a = np.asarray(x)
+    except (TypeError, ValueError):  # a ragged list
+        a = None
+    if a is None or a.dtype.kind not in kinds:
+        raise error(f"{name} entries must be {words}")
+    a = a.astype(dtype, copy=False)
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        raise error(f"{name} has shape {a.shape}, expected {shape}")
+    if not np.isfinite(a).all():
+        raise error(f"{name} is NaN" if np.isnan(a).any() else f"{name} is not finite")
+    return a
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,12 @@ class TestEntropyBits:
 
 
 def _reference_entropy(row) -> float:
-    """-sum p log2 p of one spectrum, with np.log2 per value and the terms added
+    """-sum p log2 p of one spectrum, with math.log2 per value and the terms added
     left to right in Python; zeros and rounded negatives add nothing."""
     acc = 0.0
     for x in row:
         p = x if x > 0.0 else 1.0
-        acc += p * float(np.log2(p))
+        acc += p * math.log2(p)
     return max(0.0 - acc, 0.0)
 
 
@@ -793,6 +793,58 @@ def test_regime_codes_agree_with_regime():
     assert got[:6] == [Regime.ENTANGLED, Regime.TIE, Regime.ENTANGLED,
                        Regime.PRODUCT, Regime.TIE, Regime.PRODUCT]
     assert set(got) == set(Regime)
+
+
+class TestStatedTolerances:
+    """The tie band, 1e-12, and the spectrum tolerance, 1e-9, that the docstrings and
+    the README state, pinned just inside and just outside by literals."""
+
+    @staticmethod
+    def regimes(s_p, s_b):
+        """_regime and the writers' _regime_codes of one pair of entropies."""
+        code = _regime_codes(np.array([s_p]), np.array([s_b]))[0]
+        return _regime(s_p, s_b), _REGIMES[code]
+
+    def test_tie_band(self):
+        ulp = math.ulp(1.0)  # 4,503.6 ulps of 1.0 make 1e-12
+        for s_p, s_b, want in [
+            (math.nextafter(1e-12, 0.0), 0.0, Regime.TIE),
+            (1e-12, 0.0, Regime.ENTANGLED),
+            (0.0, 1e-12, Regime.PRODUCT),
+            (1.0 + 4503 * ulp, 1.0, Regime.TIE),
+            (1.0 + 4504 * ulp, 1.0, Regime.ENTANGLED),
+            (1.0, 1.0 + 4504 * ulp, Regime.PRODUCT),
+        ]:
+            assert self.regimes(s_p, s_b) == (want, want), (s_p, s_b)
+
+    SPECTRUM_ROUTES = {
+        "float": entropy_bits,
+        "array": lambda lam: capacity_module._entropies(np.array([lam])),
+    }
+
+    @pytest.mark.parametrize("route", SPECTRUM_ROUTES)
+    def test_negative_eigenvalue(self, route):
+        entropy = self.SPECTRUM_ROUTES[route]
+        entropy([1.0, -1e-9, 1e-9, 0.0])  # a rounded zero
+        below = math.nextafter(-1e-9, -1.0)
+        with pytest.raises(InvalidSpectrum, match=f"^negative eigenvalue {below!r}$"):
+            entropy([1.0, below, 1e-9, 0.0])
+
+    @pytest.mark.parametrize("route", SPECTRUM_ROUTES)
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_total(self, route, side):
+        entropy = self.SPECTRUM_ROUTES[route]
+        # The last total on this side of 1 that is within 1e-9 of it; near 1 the
+        # difference total - 1 is exact.
+        total = 1.0 + side * 1e-9
+        while abs(total - 1.0) > 1e-9:
+            total = math.nextafter(total, 1.0)
+        while abs(math.nextafter(total, 1.0 + side) - 1.0) <= 1e-9:
+            total = math.nextafter(total, 1.0 + side)
+        entropy([total, 0.0, 0.0, 0.0])
+        past = math.nextafter(total, 1.0 + side)
+        with pytest.raises(InvalidSpectrum, match=f"^eigenvalues sum to {past!r}, not 1$"):
+            entropy([past, 0.0, 0.0, 0.0])
 
 
 def _regime_switch_curve(n):

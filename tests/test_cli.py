@@ -16,7 +16,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paulimem import __main__ as program, cli, oracle
+from paulimem import PureStateParams, __main__ as program, capacity, cli, oracle
+from paulimem.closed_form import format_number
 from paulimem.cli import _parse_grid, main
 
 
@@ -352,17 +353,66 @@ class TestStreamedOutput:
 
     # The CSV digest is that of the parent of the block writers. The JSON one
     # differs from it only in the mu_ml and mu_star lines, now 0.375 and
-    # 0.3875636907135297, each within an ulp of the exact root. It holds where
-    # numpy's log2 rounds the last ulp as numpy 2.4 on x86-64 does.
+    # 0.3875636907135297, each within an ulp of the exact root, and in 151 rows
+    # whose entropies and c2 moved by a few ulps when every closed-form log2
+    # became the C library's (math.log2): the JSON bytes follow the platform's
+    # libm, whatever SIMD path numpy takes (test_sweep_bytes_do_not_follow_numpy_simd).
     @pytest.mark.parametrize("fmt, digest", [
         ("csv", "4f5ff7d55593a5a90332d7de543f39ca1fcfef7cc8ef9c53da08eeb530154699"),
-        ("json", "d762ee0f7ac8e8a50c2e5ff53f016ead09fd305d66fc50b94403badf47f2256f"),
+        ("json", "eecd98317a1e2d04d4279df0ea59c0713e3151587d467c0457bb35f4839baa27"),
     ])
     def test_large_sweep_digest_pinned(self, capsys, tmp_path, fmt, digest):
         target = tmp_path / f"sweep.{fmt}"
         argv = ("--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0:1:0.00001", "--format", fmt, "sweep")
         assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
         assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
+
+    def test_sweep_bytes_do_not_follow_numpy_simd(self, tmp_path):
+        # The sweep of test_large_sweep_digest_pinned, in two processes: numpy's
+        # dispatch held to AVX2 and below, and its default. On an AVX-512 CPU
+        # numpy 2.4's np.log2 rounds differently on the two paths, and moved
+        # 151 rows of the JSON while the closed form used it.
+        limited = dict(os.environ, NPY_ENABLE_CPU_FEATURES=AVX2_AND_BELOW)
+        probes = [subprocess.run([sys.executable, "-c", ENABLED_CPU_FEATURES], env=env,
+                                 capture_output=True, text=True)
+                  for env in (limited, os.environ)]
+        if probes[0].returncode != 0:
+            pytest.skip(f"numpy refuses NPY_ENABLE_CPU_FEATURES={AVX2_AND_BELOW!r}: "
+                        f"{probes[0].stderr.strip().splitlines()[-1:]}")
+        assert probes[1].returncode == 0, probes[1].stderr
+        if probes[0].stdout == probes[1].stdout:
+            pytest.skip(f"numpy {np.__version__} enables the same features with its dispatch "
+                        f"held to AVX2 and below (no AVX-512 here, or the variable is unknown)")
+        script = (
+            "import sys\n"
+            "from paulimem.cli import main\n"
+            "for fmt in ('csv', 'json'):\n"
+            "    assert main(['--q', '0.2,0.1,0.3,0.4', '--mu-grid', '0:1:0.00001', '--format',\n"
+            "                 fmt, 'sweep', '--out', f'{sys.argv[1]}.{fmt}']) == 0\n"
+        )
+        runs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path / name)], env=env,
+                                 stderr=subprocess.PIPE)
+                for name, env in (("limited", limited), ("default", os.environ))]
+        for proc in runs:
+            _, err = proc.communicate()
+            assert proc.returncode == 0, err
+        for fmt in ("csv", "json"):
+            limited_bytes = (tmp_path / f"limited.{fmt}").read_bytes()
+            assert limited_bytes.count(b"\n") > 100_001
+            assert limited_bytes == (tmp_path / f"default.{fmt}").read_bytes(), fmt
+
+
+# numpy's CPU features up to AVX2, for NPY_ENABLE_CPU_FEATURES; every feature above
+# them, AVX-512 included, is then off for numpy's dispatch.
+AVX2_AND_BELOW = "SSE SSE2 SSE3 SSSE3 SSE41 POPCNT SSE42 AVX F16C FMA3 AVX2"
+# Prints the CPU features numpy has enabled (numpy 2 moved numpy.core to numpy._core).
+ENABLED_CPU_FEATURES = (
+    "try:\n"
+    "    from numpy._core._multiarray_umath import __cpu_features__ as f\n"
+    "except ImportError:\n"
+    "    from numpy.core._multiarray_umath import __cpu_features__ as f\n"
+    "print(sorted(name for name, on in f.items() if on))\n"
+)
 
 
 class TestConfigFile:
@@ -604,8 +654,9 @@ class TestFlagsEachCommandReads:
         def refuse(*args, **kwargs):
             raise AssertionError("ran past the flag check")
 
-        for name in ("channel_from_config", "capacity_sweep"):
-            monkeypatch.setattr(cli, name, refuse)
+        monkeypatch.setattr(cli, "channel_from_config", refuse)
+        # sweep and verify import these from their modules when they run.
+        monkeypatch.setattr(capacity, "capacity_sweep", refuse)
         monkeypatch.setattr(oracle, "verify_optimality_grid", refuse)
 
     def test_the_table_covers_every_flag(self):
@@ -658,6 +709,19 @@ class TestFlagsEachCommandReads:
         monkeypatch.setattr(oracle, "verify_optimality_grid", spy)
         code, _, _ = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu-grid", "0.5:1:0.5", "verify")
         assert code == 0 and seen == [(0.0, [0.5, 1.0])]
+
+
+Q = ["--q", "0.2,0.1,0.3,0.4"]
+# Each run with its exit code: the point commands, and usage and input errors.
+NO_NUMPY_RUNS = [
+    ([*Q, "--mu", "0.5", *fmt, command], 0)
+    for command in ("capacity", "params") for fmt in ([], ["--format", "json"])
+] + [([*Q, *fmt, "thresholds"], 0) for fmt in ([], ["--format", "json"])] + [
+    (["--config", "{bad_config}", "capacity"], 2),
+    (["--help"], 0),
+    ([*Q, "--mu", "0.5", "--sede", "1", "capacity"], 2),
+    (["--q", "0.2,0.1", "--mu", "0.5", "capacity"], 2),
+]
 
 
 class TestImports:
@@ -736,6 +800,39 @@ class TestImports:
         proc = self._python(script, str(tmp_path / "sweep.csv"))
         assert proc.returncode == 0, proc.stderr
 
+    def test_point_commands_and_errors_load_no_numpy(self, tmp_path):
+        bad_config = tmp_path / "bad.json"
+        bad_config.write_text('{"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"}')
+        script = (
+            "import json, sys\n"
+            "from paulimem.cli import main\n"
+            "for argv, want in json.loads(sys.argv[1]):\n"
+            "    try:\n"
+            "        code = main(argv)\n"
+            "    except SystemExit as exc:  # --help\n"
+            "        code = exc.code\n"
+            "    assert code == want, (argv, code)\n"
+            "    assert 'numpy' not in sys.modules, argv\n"
+        )
+        runs = [([a.format(bad_config=bad_config) for a in argv], code)
+                for argv, code in NO_NUMPY_RUNS]
+        proc = self._python(script, json.dumps(runs))
+        assert proc.returncode == 0, proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        [*Q, "--mu-grid", "0:1:0.5", "sweep"],
+        [*Q, "--mu", "0.5", "--grid-points", "1", "--restarts", "1", "verify"],
+    ], ids=["sweep", "verify"])
+    def test_sweep_and_verify_load_numpy(self, argv):
+        script = (
+            "import sys\n"
+            "from paulimem.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+        )
+        proc = self._python(script, *argv)
+        assert proc.returncode == 0, proc.stderr
+
     def test_json_writer_loads_no_module(self):
         # np.unique loads numpy.ma on numpy 2; numpy 1 loads it with numpy itself.
         script = (
@@ -791,6 +888,32 @@ class TestVerify:
         assert rows[0] == "mu,s_oracle,s_product,s_bell,gap,flag".split(",")
         assert len(rows) == 2 and rows[1][0] == "0.4" and rows[1][5] == "false"
         assert all(np.isfinite(float(x)) for x in rows[1][1:5])
+
+    # A search result gap_to_analytic below the closed form: beyond the 1e-6
+    # tolerance a finding, flagged, with exit code 1; within it, none.
+    @pytest.mark.parametrize("gap, flag, code", [(-2e-6, True, 1), (-0.5e-6, False, 0)])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_gap_past_the_tolerance_is_a_finding(self, capsys, monkeypatch, gap, flag, code, fmt):
+        s_p, s_b = 1.5883995291448203, 1.483557134679326  # the worked example at mu 0.5
+
+        def search(channel, cfg):
+            assert channel.mu == 0.5
+            return oracle.OracleResult(
+                min_entropy=s_b + gap, best_params=PureStateParams(0.0, 0.0, 0.0),
+                best_spectrum=np.zeros(4), evaluations=1, entropy_product=s_p,
+                entropy_bell=s_b, gap_to_analytic=gap,
+            )
+
+        monkeypatch.setattr(oracle, "min_entropy_bruteforce", search)
+        got = run_cli(capsys, "--q", "0.2,0.1,0.3,0.4", "--mu", "0.5", "--format", fmt, "verify")
+        assert got[0] == code and got[2] == ""
+        row = {"mu": 0.5, "s_oracle": s_b + gap, "s_product": s_p, "s_bell": s_b, "gap": gap,
+               "flag": flag}
+        if fmt == "json":
+            assert json.loads(got[1]) == [row]
+        else:
+            assert csv_rows(got[1]) == [list(row), [format_number(x) for x in row.values()]]
+            assert csv_rows(got[1])[1][5] == ("true" if flag else "false")
 
     def _search_config(self, capsys, monkeypatch, *flags):
         seen = []
