@@ -9,16 +9,18 @@ input achieves the capacity.
 
 from __future__ import annotations
 
+import math
 import operator
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps, _eps_diagonal, _epsilon_matrix
-from .channel import _params
+from .channel import _frozen, _params
 from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, Regime
-from .closed_form import _fields, _float_entropies, _log2s, _point, _regime, _spectrum_values
+from .closed_form import _fields, _float_entropies, _point, _regime, _spectrum_values
 from .closed_form import _to_dict, _winning_spectrum, csv_text, json_text
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2, SIGN_TABLE
@@ -30,6 +32,7 @@ _ENSEMBLE_ENTROPY_TOL = 1e-10
 # enough that numpy's per-call cost is spread thin, small enough that a
 # block's temporaries, Python floats and text stay a few MB.
 _BLOCK_ROWS = 8192
+_PACK_SPECTRA = struct.Struct("8d").pack
 
 
 @dataclass(frozen=True)
@@ -142,7 +145,7 @@ def _entropies(lam: np.ndarray) -> np.ndarray:
         _float_entropies(lam.reshape(-1, 4).tolist())
     # Zeros and rounded negatives contribute 1 log2 1 = 0.
     p = np.where(lam > 0.0, lam, 1.0)
-    log_p = np.fromiter(_log2s(memoryview(p.ravel())), float, p.size).reshape(p.shape)
+    log_p = np.fromiter(map(math.log2, memoryview(p.ravel())), float, p.size).reshape(p.shape)
     # 0.0 - sum turns a pure spectrum's -0.0 into 0.0; eigenvalues a hair
     # above 1 give a tiny negative sum, clamped to 0.
     return np.maximum(0.0 - (p * log_p).sum(axis=-1), 0.0)
@@ -219,15 +222,6 @@ class CapacityResult:
         return _to_dict(self)
 
 
-def _result(fields: dict) -> CapacityResult:
-    """CapacityResult of closed_form._fields, whose spectra are read-only arrays."""
-    # The fields as __init__ sets them, without the object.__setattr__ call per
-    # field that a frozen dataclass's __init__ makes.
-    r = object.__new__(CapacityResult)
-    vars(r).update(fields)
-    return r
-
-
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     """Classical capacity of two correlated uses, in bits per use.
 
@@ -238,13 +232,13 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     sum(lam^2), not equal entropy, so the entropies can still differ there
     by a few hundredths of a bit. On a tie the product family is named in
     the descriptor; both families are then optimal. The values are those of
-    closed_form._point, with its two spectra as rows of one array.
+    closed_form._point, with its two spectra as halves of one array.
     """
     fields = _point(channel)
-    lam = np.array([fields["lambdas_product"], fields["lambdas_bell"]])
-    lam.setflags(write=False)  # and with it both rows, as __post_init__ does
-    fields["lambdas_product"], fields["lambdas_bell"] = lam[0], lam[1]
-    return _result(fields)
+    # Over bytes, which are immutable, the array and both halves are read-only.
+    lam = np.frombuffer(_PACK_SPECTRA(*fields["lambdas_product"], *fields["lambdas_bell"]))
+    fields["lambdas_product"], fields["lambdas_bell"] = lam[:4], lam[4:]
+    return _frozen(CapacityResult, fields)
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,7 +273,8 @@ class CapacityCurve(Sequence):
         i = operator.index(i)
         s_p, s_b = self.entropies[i].tolist()
         lam_p, lam_b = self.spectra[i, 0], self.spectra[i, 1]  # views of the read-only column
-        return _result(_fields(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds))
+        fields = _fields(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds)
+        return _frozen(CapacityResult, fields)
 
 
 def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:

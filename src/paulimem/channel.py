@@ -22,7 +22,16 @@ from .errors import NonNormalized, OutOfRange
 _SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _frozen(cls, fields: dict):
+    """An instance of the frozen dataclass cls holding fields, which name all of its
+    fields: one dict update, where the generated __init__ makes a call per field.
+    No __post_init__ runs."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
+
+
+@dataclass(frozen=True, init=False)
 class PauliChannel:
     """Two correlated uses of a Pauli channel.
 
@@ -34,25 +43,28 @@ class PauliChannel:
     q: tuple[float, float, float, float]
     mu: float
 
-    def __post_init__(self):
+    def __init__(self, q: tuple[float, float, float, float], mu: float):
         try:
-            q = tuple(map(float, self.q))
-            mu = float(self.mu)
+            q = tuple(map(float, q))
+            mu = float(mu)
         except (TypeError, ValueError, OverflowError):
             raise OutOfRange("channel parameters must be real numbers") from None
         if len(q) != 4:
             raise OutOfRange(f"need 4 probabilities, got {len(q)}")
-        if not all(map(isfinite, q)) or not isfinite(mu):
-            raise OutOfRange("channel parameters must be finite")
-        if min(q) < 0.0 or max(q) > 1.0:
-            raise OutOfRange(f"probabilities outside [0, 1]: {q}")
-        if not 0.0 <= mu <= 1.0:
+        q0, q1, q2, q3 = q
+        # One test passes exactly the valid ranges (NaN fails every comparison); a
+        # failing value is then named by the first check it breaks, in this order.
+        if not (0.0 <= q0 <= 1.0 and 0.0 <= q1 <= 1.0 and 0.0 <= q2 <= 1.0
+                and 0.0 <= q3 <= 1.0 and 0.0 <= mu <= 1.0):
+            if not all(map(isfinite, q)) or not isfinite(mu):
+                raise OutOfRange("channel parameters must be finite")
+            if min(q) < 0.0 or max(q) > 1.0:
+                raise OutOfRange(f"probabilities outside [0, 1]: {q}")
             raise OutOfRange(f"mu outside [0, 1]: {mu}")
-        total = ((q[0] + q[1]) + q[2]) + q[3]
+        total = ((q0 + q1) + q2) + q3
         if abs(total - 1.0) > _SUM_TOL:
             raise NonNormalized(f"probabilities sum to {total!r}, not 1")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "mu", mu)
+        vars(self).update(q=q, mu=mu)
 
     def with_mu(self, mu: float) -> "PauliChannel":
         """Same error distribution, different memory."""
@@ -176,20 +188,19 @@ def _capacity_inputs(channel: PauliChannel) -> tuple[list, tuple[int, int, int],
     does not depend on mu. Every route to Thresholds goes through here, so its
     fields are plain floats."""
     q0, q1, q2, q3 = channel.q
-    # (p_k, n_k): the weight sigma_k keeps and the weight it flips; sigma_0 flips nothing.
-    kept_flipped = [(1.0, 0.0), (q0 + q1, q2 + q3), (q0 + q2, q1 + q3), (q0 + q3, q1 + q2)]
-    d = [4.0 * p * n for p, n in kept_flipped]
-    order = tuple(sorted((1, 2, 3), key=d.__getitem__))  # stable: ties keep index order
-    return _eps(channel.q), order, _thresholds(kept_flipped, d, order)
+    # p_k and n_k: the weight sigma_k keeps and the weight it flips; sigma_0 flips nothing.
+    p = (1.0, q0 + q1, q0 + q2, q0 + q3)
+    n = (0.0, q2 + q3, q1 + q3, q1 + q2)
+    d = (0.0, 4.0 * p[1] * n[1], 4.0 * p[2] * n[2], 4.0 * p[3] * n[3])
+    order = l, m, s = tuple(sorted((1, 2, 3), key=d.__getitem__))  # stable: ties keep index order
+    return _eps(channel.q), order, _thresholds(p[l], n[l], d[m], d[s])
 
 
-def _thresholds(kept_flipped: list, d: list[float], order: tuple[int, int, int]) -> Thresholds:
-    l, m, s = order
-    dm, ds = d[m], d[s]
+def _thresholds(p: float, n: float, dm: float, ds: float) -> Thresholds:
+    """Thresholds from p_l and n_l of the dominant axis l and d_m <= d_s of the others."""
     if dm == 0.0:  # two d_k vanish only for a point-mass q
-        return Thresholds(0.0, 0.0, degenerate=True)
+        return _frozen(Thresholds, {"mu_ml": 0.0, "mu_star": 0.0, "degenerate": True})
     # In x = 1 - mu, eps_kk = 1 - x d_k; at mu_ml eps_mm = e = |eps_l|, 1 - e = 2 min(p_l, n_l).
-    p, n = kept_flipped[l]
     e = abs(p - n)
     x = 2.0 * min(p, n) / dm
     mu_ml = 1.0 - x
@@ -202,8 +213,11 @@ def _thresholds(kept_flipped: list, d: list[float], order: tuple[int, int, int])
     b = e * dm + v * ds
     c = g * (e + v)
     delta = c / (b + sqrt(b * b + (dm * dm + ds * ds) * c)) if c > 0.0 else 0.0
-    # Where the roots lie at mu = 0 (eps_l = eps_m = 0), rounding can put them a hair below.
-    return Thresholds(max(mu_ml, 0.0), max(mu_ml + delta, 0.0))
+    # Roots at or next to mu = 0 can come out a hair below it: by rounding where
+    # eps_l = eps_m = 0, and by up to the order of the 1e-9 sum tolerance where
+    # sum(q) falls short of 1 (q = (0.25, 0.2499999998) * 2 gives -4e-10 for both).
+    return _frozen(Thresholds, {"mu_ml": max(mu_ml, 0.0), "mu_star": max(mu_ml + delta, 0.0),
+                                "degenerate": False})
 
 
 def _params(channel: PauliChannel) -> tuple[list, list, tuple[int, int, int], Thresholds]:

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import json
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from paulimem import (
     CapacityCurve,
     InvalidSpectrum,
+    NonNormalized,
     OutOfRange,
     PauliChannel,
     Regime,
@@ -321,6 +324,90 @@ class TestCapacity:
         r = capacity_two_use(base.with_mu(capacity_two_use(base).mu_star))
         assert r.regime is Regime.TIE
         assert np.abs(r.lambdas_product - r.lambdas_bell).max() < 1e-12
+
+
+class TestDataclassBehaviour:
+    """PauliChannel has a hand-written __init__, and thresholds, capacity_two_use and
+    curve entries fill their frozen instances directly. Each must still behave as the
+    dataclass its generated __init__ would have built."""
+
+    CHANNEL = PauliChannel(ILLUSTRATION_Q, 0.3)
+    BUILT = {
+        "channel": lambda ch: ch,
+        "thresholds": thresholds,
+        "result": capacity_two_use,
+        "curve-entry": lambda ch: capacity_sweep(ch, [0.1, ch.mu])[1],
+    }
+    built = pytest.mark.parametrize("kind", BUILT)
+
+    def make(self, kind):
+        return self.BUILT[kind](self.CHANNEL)
+
+    @built
+    def test_same_as_the_generated_init(self, kind):
+        obj = self.make(kind)
+        names = [f.name for f in dataclasses.fields(obj)]
+        assert list(vars(obj)) == names
+        twin = dataclasses.replace(obj)  # type(obj)(**fields), through __init__
+        assert twin == obj and repr(twin) == repr(obj) and type(twin) is type(obj)
+        if kind in ("result", "curve-entry"):
+            with pytest.raises(TypeError):  # compared by value, not hashable
+                hash(obj)
+        else:
+            assert hash(twin) == hash(obj)
+
+    def test_repr_and_hash(self):
+        assert repr(self.CHANNEL) == "PauliChannel(q=(0.2, 0.1, 0.3, 0.4), mu=0.3)"
+        th = thresholds(self.CHANNEL)
+        assert repr(th) == (f"Thresholds(mu_ml={th.mu_ml!r}, mu_star={th.mu_star!r}, "
+                            "degenerate=False)")
+        assert hash(self.CHANNEL) == hash(PauliChannel([0.2, 0.1, 0.3, 0.4], 0.3))
+        assert self.CHANNEL != self.CHANNEL.with_mu(0.4)
+        assert th == dataclasses.replace(th) != dataclasses.replace(th, degenerate=True)
+
+    @built
+    def test_frozen(self, kind):
+        obj = self.make(kind)
+        for f in dataclasses.fields(obj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, f.name, getattr(obj, f.name))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(obj, f.name)
+
+    def test_replace_reruns_the_channel_checks(self):
+        assert dataclasses.replace(self.CHANNEL, mu=1) == PauliChannel(ILLUSTRATION_Q, 1.0)
+        with pytest.raises(OutOfRange, match=r"^mu outside \[0, 1\]: 1.2$"):
+            dataclasses.replace(self.CHANNEL, mu=1.2)
+        with pytest.raises(NonNormalized, match="^probabilities sum to 2.0, not 1$"):
+            dataclasses.replace(self.CHANNEL, q=(0.5,) * 4)
+
+    def test_asdict(self):
+        assert dataclasses.asdict(self.CHANNEL) == {"q": ILLUSTRATION_Q, "mu": 0.3}
+        th = thresholds(self.CHANNEL)
+        d = dataclasses.asdict(th)  # what the thresholds command prints
+        assert list(d.items()) == [("mu_ml", th.mu_ml), ("mu_star", th.mu_star),
+                                   ("degenerate", False)]
+        r = capacity_two_use(self.CHANNEL)
+        d = dataclasses.asdict(r)
+        assert list(d) == [f.name for f in dataclasses.fields(r)]
+        assert np.array_equal(d["lambdas_bell"], r.lambdas_bell) and d["c2"] == r.c2
+
+    @built
+    def test_deepcopy_and_pickle_round_trip(self, kind):
+        obj = self.make(kind)
+        for twin in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and type(twin) is type(obj)
+            assert list(vars(twin)) == list(vars(obj))
+
+    @pytest.mark.parametrize("kind", ["result", "curve-entry"])
+    def test_spectra_read_only(self, kind):
+        r = self.make(kind)
+        for lam in (r.lambdas_product, r.lambdas_bell, r.winning_spectrum()):
+            assert lam.shape == (4,) and not lam.flags.writeable
+            with pytest.raises(ValueError):
+                lam[0] = 0.5
+            with pytest.raises(ValueError):
+                lam.setflags(write=True)
 
 
 class TestSweep:

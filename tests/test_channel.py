@@ -1,3 +1,4 @@
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import inf, nextafter
@@ -61,33 +62,6 @@ class TestConstruction:
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         assert ch.mu == 0.5
 
-    def test_negative_probability_rejected(self):
-        with pytest.raises(OutOfRange):
-            PauliChannel((0.5, 0.6, 0.0, -0.1), 0.5)
-
-    def test_non_normalized_rejected(self):
-        with pytest.raises(NonNormalized):
-            PauliChannel((0.5, 0.5, 0.5, 0.5), 0.5)
-
-    def test_mu_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            PauliChannel((0.25, 0.25, 0.25, 0.25), 1.2)
-
-    @pytest.mark.parametrize(
-        "q, mu",
-        [
-            ((0.2, "x", 0.3, 0.4), 0.5),
-            (ILLUSTRATION_Q, "x"),
-            (None, 0.5),
-            (ILLUSTRATION_Q, None),
-            (ILLUSTRATION_Q, 10**400),  # float() overflows
-        ],
-        ids=["q-text", "mu-text", "q-none", "mu-none", "mu-huge-int"],
-    )
-    def test_non_numbers_rejected(self, q, mu):
-        with pytest.raises(OutOfRange):
-            PauliChannel(q, mu)
-
     def test_joint_probabilities_normalized(self, rng):
         for _ in range(50):
             ch = random_channel(rng)
@@ -104,26 +78,93 @@ class TestFamilies:
         ch = depolarizing(0.25, 0.0)
         assert ch.q == pytest.approx((0.75, 1 / 12, 1 / 12, 1 / 12), abs=1e-15)
 
-    def test_depolarizing_rejects_large_p(self):
-        with pytest.raises(OutOfRange):
-            depolarizing(0.9, 0.0)
-
     def test_mp_quarter_is_uniform(self):
         assert mp_channel(0.25, 0.0).q == (0.25, 0.25, 0.25, 0.25)
 
     def test_mp_half(self):
         assert mp_channel(0.5, 0.0).q == (0.5, 0.0, 0.0, 0.5)
 
-    def test_mp_rejects_out_of_range(self):
-        with pytest.raises(OutOfRange):
-            mp_channel(0.6, 0.0)
 
-    @pytest.mark.parametrize("family", [depolarizing, mp_channel], ids=lambda f: f.__name__)
-    @pytest.mark.parametrize("p", ["x", None, 10**400], ids=["text", "none", "huge-int"])
-    def test_non_number_p_rejected(self, family, p):
-        # float(p) raises ValueError, TypeError and OverflowError for these
-        with pytest.raises(OutOfRange):
-            family(p, 0.5)
+
+# Every check of the channel constructors: the input, the error class and its
+# literal message. The checks run in a fixed order (conversion, length,
+# finiteness, q's range, mu's range, the sum), so a value that breaks two is
+# named by the first.
+Q = (0.2, 0.1, 0.3, 0.4)
+HUGE = 10**400  # float() overflows
+CONSTRUCTOR_ERRORS = {
+    "q-text": (PauliChannel, ((0.2, "x", 0.3, 0.4), 0.5), OutOfRange,
+               "channel parameters must be real numbers"),
+    "mu-text": (PauliChannel, (Q, "x"), OutOfRange, "channel parameters must be real numbers"),
+    "q-none": (PauliChannel, (None, 0.5), OutOfRange, "channel parameters must be real numbers"),
+    "mu-none": (PauliChannel, (Q, None), OutOfRange, "channel parameters must be real numbers"),
+    "q-huge-int": (PauliChannel, ((0.2, 0.1, 0.3, HUGE), 0.5), OutOfRange,
+                   "channel parameters must be real numbers"),
+    "mu-huge-int": (PauliChannel, (Q, HUGE), OutOfRange, "channel parameters must be real numbers"),
+    "three-entries": (PauliChannel, ((0.2, 0.4, 0.4), 0.5), OutOfRange,
+                      "need 4 probabilities, got 3"),
+    "five-entries": (PauliChannel, ((0.2, 0.1, 0.3, 0.2, 0.2), 0.5), OutOfRange,
+                     "need 4 probabilities, got 5"),
+    "five-entries-one-text": (PauliChannel, ((0.2, 0.1, 0.3, 0.2, "x"), 0.5), OutOfRange,
+                              "channel parameters must be real numbers"),
+    "q-nan": (PauliChannel, ((0.2, math.nan, 0.3, 0.4), 0.5), OutOfRange,
+              "channel parameters must be finite"),
+    "q-inf": (PauliChannel, ((0.2, math.inf, 0.3, 0.4), 0.5), OutOfRange,
+              "channel parameters must be finite"),
+    "q-minus-inf": (PauliChannel, ((0.2, -math.inf, 0.3, 0.4), 0.5), OutOfRange,
+                    "channel parameters must be finite"),
+    "mu-nan": (PauliChannel, (Q, math.nan), OutOfRange, "channel parameters must be finite"),
+    "mu-inf": (PauliChannel, (Q, math.inf), OutOfRange, "channel parameters must be finite"),
+    "mu-minus-inf": (PauliChannel, (Q, -math.inf), OutOfRange,
+                     "channel parameters must be finite"),
+    "q-nan-beside-negative": (PauliChannel, ((-0.1, math.nan, 0.6, 0.5), 0.5), OutOfRange,
+                              "channel parameters must be finite"),
+    "q-below-0": (PauliChannel, ((0.5, 0.6, 0.0, -0.1), 0.5), OutOfRange,
+                  "probabilities outside [0, 1]: (0.5, 0.6, 0.0, -0.1)"),
+    "q-above-1": (PauliChannel, ((1.1, 0.0, 0.0, -0.1), 0.5), OutOfRange,
+                  "probabilities outside [0, 1]: (1.1, 0.0, 0.0, -0.1)"),
+    "q-and-mu-outside": (PauliChannel, ((-0.1, 0.2, 0.4, 0.5), 2.0), OutOfRange,
+                         "probabilities outside [0, 1]: (-0.1, 0.2, 0.4, 0.5)"),
+    "mu-below-0": (PauliChannel, (Q, -0.1), OutOfRange, "mu outside [0, 1]: -0.1"),
+    "mu-above-1": (PauliChannel, (Q, 1.2), OutOfRange, "mu outside [0, 1]: 1.2"),
+    "sum-2e-9-off": (PauliChannel, ((0.25, 0.25, 0.25, 0.250000002), 0.5), NonNormalized,
+                     "probabilities sum to 1.000000002, not 1"),
+    "sum-2": (PauliChannel, ((0.5,) * 4, 0.5), NonNormalized, "probabilities sum to 2.0, not 1"),
+    "depolarizing-below-0": (depolarizing, (-0.1, 0.5), OutOfRange,
+                             "depolarizing parameter outside [0, 3/4]: -0.1"),
+    "depolarizing-above-3/4": (depolarizing, (0.8, 0.5), OutOfRange,
+                               "depolarizing parameter outside [0, 3/4]: 0.8"),
+    "depolarizing-nan": (depolarizing, (math.nan, 0.5), OutOfRange,
+                         "depolarizing parameter outside [0, 3/4]: nan"),
+    "depolarizing-text": (depolarizing, ("x", 0.5), OutOfRange,
+                          "family parameter p must be a real number"),
+    "depolarizing-none": (depolarizing, (None, 0.5), OutOfRange,
+                          "family parameter p must be a real number"),
+    "depolarizing-huge-int": (depolarizing, (HUGE, 0.5), OutOfRange,
+                              "family parameter p must be a real number"),
+    "depolarizing-mu": (depolarizing, (0.3, 1.5), OutOfRange, "mu outside [0, 1]: 1.5"),
+    "mp-below-0": (mp_channel, (-0.1, 0.5), OutOfRange, "mp parameter outside [0, 1/2]: -0.1"),
+    "mp-above-1/2": (mp_channel, (0.6, 0.5), OutOfRange, "mp parameter outside [0, 1/2]: 0.6"),
+    "mp-text": (mp_channel, ("x", 0.5), OutOfRange, "family parameter p must be a real number"),
+    "mp-none": (mp_channel, (None, 0.5), OutOfRange, "family parameter p must be a real number"),
+    "mp-huge-int": (mp_channel, (HUGE, 0.5), OutOfRange,
+                    "family parameter p must be a real number"),
+}
+
+
+@pytest.mark.parametrize("case", CONSTRUCTOR_ERRORS)
+def test_constructor_error_and_message(case):
+    build, args, error, message = CONSTRUCTOR_ERRORS[case]
+    with pytest.raises(PauliMemError) as info:
+        build(*args)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_sum_within_the_tolerance_is_kept_as_given():
+    q = (0.25, 0.25, 0.25, 0.2500000004)  # 4e-10 off, inside the 1e-9 tolerance
+    ch = PauliChannel(q, 1)
+    assert ch.q == q and type(ch.mu) is float and ch.mu == 1.0
 
 
 class TestEpsilonVector:
@@ -387,6 +428,14 @@ class TestThresholds:
             for f, x, n in zip(self.defining_functions(q), (th.mu_ml, th.mu_star),
                                (self.ML_ULPS, self.STAR_ULPS)):
                 assert f(self.ulps_away(x, n, -inf)) <= 0 <= f(self.ulps_away(x, n, inf)), q
+
+    def test_clamps_hold_the_roots_of_a_short_sum_at_0(self):
+        # sum(q) = 1 - 4e-10, which PauliChannel accepts: unclamped, both roots come out
+        # at -4.000000330961484e-10, the order of the shortfall.
+        q = (0.25, 0.2499999998, 0.25, 0.2499999998)
+        assert math.fsum(q) < 1.0
+        for mu in (0.0, 0.5):
+            assert thresholds(PauliChannel(q, mu)) == Thresholds(0.0, 0.0)
 
     def test_clamped_and_degenerate_thresholds_are_exact(self):
         # The uniform q has both roots at mu = 0, where the clamps sit.
