@@ -206,8 +206,11 @@ class CapacityResult:
     optimal_state_descriptor: dict
 
     def __post_init__(self):
-        self.lambdas_product.setflags(write=False)
-        self.lambdas_bell.setflags(write=False)
+        # Read-only copies: the caller's arrays stay theirs, and writeable.
+        for name in ("lambdas_product", "lambdas_bell"):
+            spectrum = np.array(getattr(self, name), dtype=float)
+            spectrum.setflags(write=False)
+            object.__setattr__(self, name, spectrum)
 
     def __eq__(self, other):
         if not isinstance(other, CapacityResult):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 import pickle
@@ -448,6 +449,23 @@ def _same_float(a, b):
     return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
 
 
+def test_point_bits_pinned():
+    # The ordering, thresholds and spectra of 10,000 seeded channels, bit for bit. They
+    # use only + - * / and sqrt, correctly rounded on any IEEE-754 machine, and so
+    # do the inputs: q as the spacings of three sorted uniforms. The entropies go
+    # through libm log2 and are left out.
+    rng = np.random.default_rng(33)
+    h = hashlib.sha256()
+    for u in rng.random((10_000, 4)).tolist():
+        a, b, c = sorted(u[:3])
+        ch = PauliChannel((a, b - a, c - b, 1.0 - c), u[3])
+        r = capacity_two_use(ch)
+        values = [*ordering(ch), r.mu_ml, r.mu_star, *r.lambdas_product.tolist(),
+                  *r.lambdas_bell.tolist()]
+        h.update(" ".join(float(v).hex() for v in values).encode() + b"\n")
+    assert h.hexdigest() == "eb7aba325f16d5a480a21abc559db261822e95280f9b877821870b21206ab378"
+
+
 class TestSweepMatchesPoints:
     """capacity_sweep is one array pass; each entry must equal the point call."""
 
@@ -684,6 +702,15 @@ class TestCapacityCurve:
             for spectrum in (r.lambdas_product, r.lambdas_bell):
                 with pytest.raises(ValueError, match="read-only"):
                     spectrum[0] = 0.5
+
+    def test_init_copies_the_callers_spectra(self):
+        r = capacity_two_use(self.BASE.with_mu(0.3))
+        product, bell = r.lambdas_product.copy(), [0.4, 0.3, 0.2, 0.1]
+        twin = dataclasses.replace(r, lambdas_product=product, lambdas_bell=bell)
+        assert product.flags.writeable
+        for given, held in ((product, twin.lambdas_product), (bell, twin.lambdas_bell)):
+            assert held is not given and held.dtype == float and not held.flags.writeable
+            assert np.array_equal(held, given)
 
     def test_owns_its_grid(self):
         grid = np.linspace(0.0, 1.0, 5)

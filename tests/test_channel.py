@@ -1,3 +1,4 @@
+import itertools
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -30,6 +31,7 @@ from paulimem import (
     thresholds,
     weights_to_density,
 )
+from paulimem import channel as channel_module
 from paulimem.pauli import PRODUCT_INDEX
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
 
@@ -61,6 +63,16 @@ class TestConstruction:
     def test_illustration_accepted(self):
         ch = PauliChannel(ILLUSTRATION_Q, 0.5)
         assert ch.mu == 0.5
+
+    def test_parameters_are_held_as_floats(self):
+        exact = (0.5, 0.0, 0.0, 0.5)
+        for q, mu in ((exact, 0.25), ((1, 0, 0, 0), 1), ([0.5, 0.0, 0.0, 0.5], np.float64(0.25)),
+                      (np.array(exact), Fraction(1, 4)), (iter(exact), Decimal("0.25"))):
+            ch = PauliChannel(q, mu)
+            assert [type(x) for x in (*ch.q, ch.mu)] == [float] * 5
+            assert type(ch.q) is tuple
+        # a tuple of four exact floats is held as given
+        assert PauliChannel(exact, 0.25).q is exact
 
     def test_joint_probabilities_normalized(self, rng):
         for _ in range(50):
@@ -107,6 +119,20 @@ CONSTRUCTOR_ERRORS = {
                      "need 4 probabilities, got 5"),
     "five-entries-one-text": (PauliChannel, ((0.2, 0.1, 0.3, 0.2, "x"), 0.5), OutOfRange,
                               "channel parameters must be real numbers"),
+    # float() parses numerals in text, and iterates a string or bytes q entry by entry.
+    "q-numeral-string": (PauliChannel, ("1000", 0.5), OutOfRange,
+                         "channel parameters must be real numbers"),
+    "q-numeral-entries": (PauliChannel, (("0.5", "0", "0", "0.5"), 0.25), OutOfRange,
+                          "channel parameters must be real numbers"),
+    "mu-numeral-text": (PauliChannel, (Q, "0.25"), OutOfRange,
+                        "channel parameters must be real numbers"),
+    "q-bytes": (PauliChannel, (b"\x01\x00\x00\x00", 0.5), OutOfRange,
+                "channel parameters must be real numbers"),
+    "q-bytes-entry": (PauliChannel, ((0.5, 0.0, 0.0, b"0.5"), 0.5), OutOfRange,
+                      "channel parameters must be real numbers"),
+    "mu-bytes": (PauliChannel, (Q, b"0.5"), OutOfRange, "channel parameters must be real numbers"),
+    "mu-bytearray": (PauliChannel, (Q, bytearray(b"0.5")), OutOfRange,
+                     "channel parameters must be real numbers"),
     "q-nan": (PauliChannel, ((0.2, math.nan, 0.3, 0.4), 0.5), OutOfRange,
               "channel parameters must be finite"),
     "q-inf": (PauliChannel, ((0.2, math.inf, 0.3, 0.4), 0.5), OutOfRange,
@@ -138,6 +164,8 @@ CONSTRUCTOR_ERRORS = {
                          "depolarizing parameter outside [0, 3/4]: nan"),
     "depolarizing-text": (depolarizing, ("x", 0.5), OutOfRange,
                           "family parameter p must be a real number"),
+    "depolarizing-numeral-text": (depolarizing, ("0.25", 0.5), OutOfRange,
+                                  "family parameter p must be a real number"),
     "depolarizing-none": (depolarizing, (None, 0.5), OutOfRange,
                           "family parameter p must be a real number"),
     "depolarizing-huge-int": (depolarizing, (HUGE, 0.5), OutOfRange,
@@ -146,6 +174,8 @@ CONSTRUCTOR_ERRORS = {
     "mp-below-0": (mp_channel, (-0.1, 0.5), OutOfRange, "mp parameter outside [0, 1/2]: -0.1"),
     "mp-above-1/2": (mp_channel, (0.6, 0.5), OutOfRange, "mp parameter outside [0, 1/2]: 0.6"),
     "mp-text": (mp_channel, ("x", 0.5), OutOfRange, "family parameter p must be a real number"),
+    "mp-numeral-bytes": (mp_channel, (b"0.2", 0.5), OutOfRange,
+                         "family parameter p must be a real number"),
     "mp-none": (mp_channel, (None, 0.5), OutOfRange, "family parameter p must be a real number"),
     "mp-huge-int": (mp_channel, (HUGE, 0.5), OutOfRange,
                     "family parameter p must be a real number"),
@@ -258,6 +288,28 @@ class TestEpsilonMatrix:
                 off = e**2 - np.diag(np.diag(e**2))
                 assert eps[l] ** 2 >= off.max() - 1e-12
 
+    def test_eps_diagonal_is_the_matrix_diagonal(self, rng):
+        # _eps_diagonal, which every capacity route reads, forms (1 - mu) eps_k^2 + mu
+        # directly; mu eps_0 = mu makes it the matrix diagonal bit for bit
+        cases = [(random_channel(rng).q, mu) for mu in (0.0, 1.0) for _ in range(50)]
+        cases += [(random_channel(rng).q, float(rng.uniform())) for _ in range(500)]
+        cases += [(q, mu) for q in (ILLUSTRATION_Q, (0.25,) * 4, (1.0, 0.0, 0.0, 0.0))
+                  for mu in (0.0, 0.3, 1.0)]
+        for q, mu in cases:
+            eps = channel_module._eps(q)
+            matrix = channel_module._epsilon_matrix(eps, mu)
+            diagonal = channel_module._eps_diagonal(eps, mu)
+            assert [x.hex() for x in diagonal] == [matrix[k][k].hex() for k in range(4)]
+
+    def test_eps_diagonal_on_a_column_equals_each_point(self, rng):
+        mu = np.concatenate([[0.0, 1.0], rng.uniform(size=500)])
+        for _ in range(20):
+            eps = channel_module._eps(random_channel(rng).q)
+            columns = channel_module._eps_diagonal(eps, mu)
+            for i, m in enumerate(mu.tolist()):
+                point = channel_module._eps_diagonal(eps, m)
+                assert [c[i].tobytes() for c in columns] == [np.float64(x).tobytes() for x in point]
+
     def test_diagonal_affine_increasing(self, rng):
         for _ in range(20):
             q = tuple(rng.dirichlet(np.ones(4)))
@@ -280,6 +332,21 @@ class TestOrdering:
 
     def test_dominant_third_axis(self):
         assert ordering(PauliChannel((0.5, 0.0, 0.0, 0.5), 0.0))[0] == 3
+
+    def test_every_tie_pattern_as_a_stable_sort(self):
+        # The 13 weak orders of (d_1, d_2, d_3), as dense ranks. q_k = (3 - rank_k)/16
+        # keeps n_k = q_1 + q_2 + q_3 - q_k below 1/2, where d_k = 1 - eps_k^2 =
+        # 4 n_k (1 - n_k) rises with n_k: a higher rank is a larger d_k. All values
+        # are dyadic, so the ties are exact.
+        patterns = [r for r in itertools.product(range(3), repeat=3)
+                    if set(r) == set(range(max(r) + 1))]
+        assert len(patterns) == 13
+        for ranks in patterns:
+            q = [(3 - r) / 16 for r in ranks]
+            ch = PauliChannel((1.0 - sum(q), *q), 0.5)
+            d = [1.0 - e * e for e in epsilon_vector(ch).tolist()]
+            assert [sorted(set(d[1:])).index(x) for x in d[1:]] == list(ranks)
+            assert ordering(ch) == tuple(sorted((1, 2, 3), key=d.__getitem__))
 
 
 def exact_thresholds(q) -> tuple[Decimal, Decimal]:

@@ -34,3 +34,12 @@ def test_trap_rates_prints_one_json_line(capsys):
         "trapped_share", "points_with_trapped_starts", "worst_point",
     }
     assert set(record["worst_point"]) == {"channel", "mu", "share"}
+
+
+def test_mutants_prints_one_json_line(capsys):
+    # the keys only, at size 0: the table is checked against the code, no suite runs
+    assert _load("mutants").main(["--size", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record == {"study": "mutants", "size": 0, "killed_by": {}, "survivors": []}
