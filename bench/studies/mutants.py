@@ -39,8 +39,11 @@ MUTANTS = {
     "mu-ml-over-ds": (
         "channel.py", "x = 2.0 * min(p, n) / dm", "x = 2.0 * min(p, n) / ds"),
     "channel-text-accepted": (
-        "channel.py", "    if isinstance(x, _TEXT):\n        raise",
-        "    if False:\n        raise"),
+        "channel.py", "_NOT_REAL = (str, bytes, bytearray, bool)", "_NOT_REAL = (bool,)"),
+    "scalar-bool-accepted": (
+        "channel.py",
+        'if not isinstance(x, _NOT_REAL) and getattr(getattr(x, "dtype", None), "kind", "") != "b":',
+        "if not isinstance(x, (str, bytes, bytearray)):"),
     "result-freezes-callers-spectra": (
         "capacity.py", "np.array(getattr(self, name), dtype=float)",
         "np.asarray(getattr(self, name), dtype=float)"),

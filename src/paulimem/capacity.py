@@ -20,8 +20,8 @@ import numpy as np
 from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps, _eps_diagonal, _epsilon_matrix
 from .channel import _frozen, _params
 from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, Regime
-from .closed_form import _fields, _float_entropies, _point, _regime, _spectrum_values
-from .closed_form import _to_dict, _winning_spectrum, csv_text, json_text
+from .closed_form import _fields, _float_entropies, _point, _spectrum_values, _to_dict
+from .closed_form import _winning_spectrum, json_text
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2, SIGN_TABLE
 from .states import _checked_weights, checked_array
@@ -352,13 +352,14 @@ def verify_ensemble_achievability(channel: PauliChannel, rho_star: np.ndarray) -
 
 # The writers' regime codes, which index _REGIMES and _REGIME_NAMES.
 _REGIMES = (Regime.PRODUCT, Regime.ENTANGLED, Regime.TIE)
-_PRODUCT, _ENTANGLED, _TIE = range(3)
+_PRODUCT_CODE, _ENTANGLED_CODE, _TIE_CODE = range(3)
 _REGIME_NAMES = np.array([r.value for r in _REGIMES], dtype=object)
 
 
 def _regime_codes(s_p: np.ndarray, s_b: np.ndarray) -> np.ndarray:
-    """_regime elementwise over two entropy columns, as regime codes."""
-    return np.where(abs(s_p - s_b) < _TIE_TOL, _TIE, np.where(s_p < s_b, _PRODUCT, _ENTANGLED))
+    """closed_form._regime elementwise over two entropy columns, as regime codes."""
+    return np.where(abs(s_p - s_b) < _TIE_TOL, _TIE_CODE,
+                    np.where(s_p < s_b, _PRODUCT_CODE, _ENTANGLED_CODE))
 
 
 def _parts(curve: CapacityCurve) -> list:
@@ -396,7 +397,7 @@ def sweep_csv_blocks(curve: CapacityCurve):
         cells[:, 0] = rows[:, 0]
         cells[:, 1] = _REGIME_NAMES[codes]
         cells[:, 2:5] = rows[:, 1:4]
-        cells[:, 5:] = np.where((codes == _ENTANGLED)[:, None], rows[:, 8:], rows[:, 4:8])
+        cells[:, 5:] = np.where((codes == _ENTANGLED_CODE)[:, None], rows[:, 8:], rows[:, 4:8])
         yield _CSV_ROW * len(rows) % tuple(cells.ravel().tolist())
 
 

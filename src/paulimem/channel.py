@@ -22,15 +22,20 @@ from .errors import NonNormalized, OutOfRange
 _SUM_TOL = 1e-9
 
 
-# Text that float() parses as a number ("0.5", b"1") is not a number here.
-_TEXT = (str, bytes, bytearray)
+# float() takes text that spells a number ("0.5", b"1") and bools, which are ints.
+_NOT_REAL = (str, bytes, bytearray, bool)
 
 
-def _real(x) -> float:
-    """float(x), with text refused by the TypeError that float() raises for other types."""
-    if isinstance(x, _TEXT):
-        raise TypeError("text is not a real number")
-    return float(x)
+def _real(x, message: str) -> float:
+    """float(x) for a real number x. Text, a Python or numpy bool (by its dtype kind,
+    whatever its type's name), and whatever float() refuses raise
+    OutOfRange(message.format(x)), built only then."""
+    try:
+        if not isinstance(x, _NOT_REAL) and getattr(getattr(x, "dtype", None), "kind", "") != "b":
+            return float(x)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise OutOfRange(message.format(x))
 
 
 def _frozen(cls, fields: dict):
@@ -60,13 +65,14 @@ class PauliChannel:
         if not (type(q) is tuple and len(q) == 4 and type(q[0]) is float
                 and type(q[1]) is float and type(q[2]) is float and type(q[3]) is float
                 and type(mu) is float):
+            message = "channel parameters must be real numbers"
+            if isinstance(q, _NOT_REAL):  # bytes iterate to ints
+                raise OutOfRange(message)
             try:
-                if isinstance(q, _TEXT):
-                    raise TypeError
-                q = tuple(map(_real, q))
-                mu = _real(mu)
-            except (TypeError, ValueError, OverflowError):
-                raise OutOfRange("channel parameters must be real numbers") from None
+                q = tuple([_real(x, message) for x in q])
+            except TypeError:  # q does not iterate
+                raise OutOfRange(message) from None
+            mu = _real(mu, message)
         if len(q) != 4:
             raise OutOfRange(f"need 4 probabilities, got {len(q)}")
         q0, q1, q2, q3 = q
@@ -98,21 +104,13 @@ class PauliChannel:
         return (1.0 - self.mu) * np.outer(q, q) + self.mu * np.diag(q)
 
 
-def _family_parameter(p) -> float:
-    """p as a float; text and anything float() refuses raise OutOfRange, as PauliChannel does."""
-    try:
-        return _real(p)
-    except (TypeError, ValueError, OverflowError):
-        raise OutOfRange("family parameter p must be a real number") from None
-
-
 def depolarizing(p: float, mu: float) -> PauliChannel:
     """Depolarizing channel q = (1 - p, p/3, p/3, p/3).
 
     p is restricted to [0, 3/4], the range where the identity remains the
     dominant outcome.
     """
-    p = _family_parameter(p)
+    p = _real(p, "family parameter p must be a real number")
     if not 0.0 <= p <= 0.75:
         raise OutOfRange(f"depolarizing parameter outside [0, 3/4]: {p}")
     third = p / 3.0
@@ -121,7 +119,7 @@ def depolarizing(p: float, mu: float) -> PauliChannel:
 
 def mp_channel(p: float, mu: float) -> PauliChannel:
     """One-parameter family q = (p, 1/2 - p, 1/2 - p, p) with p in [0, 1/2]."""
-    p = _family_parameter(p)
+    p = _real(p, "family parameter p must be a real number")
     if not 0.0 <= p <= 0.5:
         raise OutOfRange(f"mp parameter outside [0, 1/2]: {p}")
     return PauliChannel((p, 0.5 - p, 0.5 - p, p), mu)
@@ -243,15 +241,6 @@ def _params(channel: PauliChannel) -> tuple[list, list, tuple[int, int, int], Th
     return eps, _epsilon_matrix(eps, channel.mu), order, th
 
 
-def _config_number(value, key: str) -> float:
-    try:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    except OverflowError:  # an int too large for a float
-        pass
-    raise OutOfRange(f"config value {key!r} is not a number: {value!r}")
-
-
 def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
     """Build a channel from a configuration mapping, the form the CLI gives all channel input.
 
@@ -266,7 +255,7 @@ def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
         if "mu" not in cfg:
             raise OutOfRange("channel config is missing 'mu'")
         mu = cfg["mu"]
-    mu = _config_number(mu, "mu")
+    mu = _real(mu, "config value 'mu' is not a number: {!r}")
     if ("q" in cfg) == ("family" in cfg):
         raise OutOfRange("channel config needs exactly one of 'q' or 'family'")
     keys = ("q", "mu") if "q" in cfg else ("family", "p", "mu")
@@ -278,10 +267,11 @@ def channel_from_config(cfg: dict, mu: float | None = None) -> PauliChannel:
         q = cfg["q"]
         if not isinstance(q, (list, tuple)) or len(q) != 4:
             raise OutOfRange("'q' must be a list of 4 probabilities")
-        return PauliChannel(tuple(_config_number(x, "q") for x in q), mu)
+        message = "config value 'q' is not a number: {!r}"
+        return PauliChannel(tuple([_real(x, message) for x in q]), mu)
     if "p" not in cfg:
         raise OutOfRange("family config is missing 'p'")
     family = cfg["family"]
     if not isinstance(family, str) or family not in FAMILIES:
         raise OutOfRange(f"unknown channel family {family!r}")
-    return FAMILIES[family](_config_number(cfg["p"], "p"), mu)
+    return FAMILIES[family](_real(cfg["p"], "config value 'p' is not a number: {!r}"), mu)

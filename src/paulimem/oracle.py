@@ -20,7 +20,7 @@ from math import hypot, sqrt
 
 import numpy as np
 
-from .capacity import _checked_mu_grid, _output_entropies, capacity_two_use
+from .capacity import _checked_mu_grid, capacity_two_use
 from .channel import PauliChannel, _eps, _epsilon_matrix
 from .closed_form import csv_text, json_text
 from .errors import NonHermitian, OutOfRange, is_integer
@@ -254,6 +254,13 @@ def _outputs(superop: np.ndarray, proj: np.ndarray) -> np.ndarray:
     return (proj @ superop.T).reshape(-1, 4, 4)
 
 
+def _entropies_and_logs(lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entropies in bits of (R, 4) eigenvalue rows, and their log2 floored at 1e-300."""
+    lam = np.maximum(lam, 1e-300)
+    log_lam = np.log2(lam)
+    return np.maximum(-(lam * log_lam).sum(axis=1), 0.0), log_lam
+
+
 def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Output entropies S at (R, 8) amplitude rows x, and their (R, 8) gradients.
 
@@ -266,9 +273,7 @@ def _entropy_and_gradient(x: np.ndarray, superop: np.ndarray) -> tuple[np.ndarra
     norm = np.sqrt(np.einsum("ni,ni->n", x, x))[:, None]
     v = x.view(complex) / norm
     lam, vecs = np.linalg.eigh(_outputs(superop, _projectors(v)))
-    lam = np.maximum(lam, 1e-300)
-    log_lam = np.log2(lam)
-    entropy = np.maximum(-(lam * log_lam).sum(axis=1), 0.0)
+    entropy, log_lam = _entropies_and_logs(lam)
     log_out = (vecs * log_lam[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     pulled = (log_out.reshape(-1, 16) @ superop.T).reshape(-1, 4, 4)
     mv = (pulled @ v[:, :, None])[:, :, 0]
@@ -387,8 +392,8 @@ def output_entropies(channel: PauliChannel, params: np.ndarray) -> np.ndarray:
         params = np.atleast_2d(params)  # state_vectors holds it to the input contract
     except ValueError:  # a ragged list
         raise OutOfRange("parameter rows must be numbers") from None
-    superop = channel_superoperator(channel)
-    return _output_entropies(_outputs(superop, _projectors(state_vectors(params))))
+    outs = _outputs(channel_superoperator(channel), _projectors(state_vectors(params)))
+    return _entropies_and_logs(np.linalg.eigvalsh(outs))[0]
 
 
 def min_entropy_bruteforce(
@@ -414,7 +419,7 @@ def min_entropy_bruteforce(
     superop = channel_superoperator(channel)
     g = cfg.grid_points_per_angle
     states, proj = _grid_states(g)
-    entropies = _output_entropies(_outputs(superop, proj))
+    entropies = _entropies_and_logs(np.linalg.eigvalsh(_outputs(superop, proj)))[0]
     best = states[np.argsort(entropies, kind="stable")[:_REFINEMENTS]]
     gauss = np.random.default_rng(cfg.seed).standard_normal((cfg.restarts, 8)).view(complex)
     haar = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)

@@ -43,13 +43,12 @@ from paulimem.capacity import (
     _BLOCK_ROWS,
     _REGIMES,
     SWEEP_CSV_HEADER,
-    _regime,
     _regime_codes,
-    csv_text,
     json_text,
     sweep_csv_blocks,
     sweep_json_blocks,
 )
+from paulimem.closed_form import _regime, csv_text
 from paulimem.cli import _parse_grid
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density

@@ -133,6 +133,30 @@ CONSTRUCTOR_ERRORS = {
     "mu-bytes": (PauliChannel, (Q, b"0.5"), OutOfRange, "channel parameters must be real numbers"),
     "mu-bytearray": (PauliChannel, (Q, bytearray(b"0.5")), OutOfRange,
                      "channel parameters must be real numbers"),
+    # float() reads True as 1: unrefused, these gave the identity channel at full memory,
+    # the noiseless channel and mu = 1.
+    "q-bool": (PauliChannel, ((True, False, False, False), 0.5), OutOfRange,
+               "channel parameters must be real numbers"),
+    "q-numpy-bool": (PauliChannel, ((0.5, 0.0, 0.0, np.False_), 0.5), OutOfRange,
+                     "channel parameters must be real numbers"),
+    "q-bool-array": (PauliChannel, (np.array([True, False, False, False]), 0.5), OutOfRange,
+                     "channel parameters must be real numbers"),
+    "mu-bool": (PauliChannel, (Q, True), OutOfRange, "channel parameters must be real numbers"),
+    "mu-numpy-bool": (PauliChannel, (Q, np.True_), OutOfRange,
+                      "channel parameters must be real numbers"),
+    "mu-numpy-bool-0d": (PauliChannel, (Q, np.array(False)), OutOfRange,
+                         "channel parameters must be real numbers"),
+    "with-mu-bool": (PauliChannel(Q, 0.5).with_mu, (True,), OutOfRange,
+                     "channel parameters must be real numbers"),
+    "with-mu-numpy-bool": (PauliChannel(Q, 0.5).with_mu, (np.True_,), OutOfRange,
+                           "channel parameters must be real numbers"),
+    "depolarizing-bool": (depolarizing, (False, 0.3), OutOfRange,
+                          "family parameter p must be a real number"),
+    "depolarizing-numpy-bool": (depolarizing, (np.False_, 0.3), OutOfRange,
+                                "family parameter p must be a real number"),
+    "mp-bool": (mp_channel, (True, 0.3), OutOfRange, "family parameter p must be a real number"),
+    "mp-numpy-bool": (mp_channel, (np.True_, 0.3), OutOfRange,
+                      "family parameter p must be a real number"),
     "q-nan": (PauliChannel, ((0.2, math.nan, 0.3, 0.4), 0.5), OutOfRange,
               "channel parameters must be finite"),
     "q-inf": (PauliChannel, ((0.2, math.inf, 0.3, 0.4), 0.5), OutOfRange,

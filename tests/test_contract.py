@@ -1,4 +1,5 @@
-"""The library's input contract, for every public function that takes an array.
+"""The library's input contract, for every public function that takes an array,
+and for every argument that takes an integer.
 
 A value of the documented type with the wrong number of axes or a wrong
 length, an empty array, a NaN or infinite entry, a ragged or string list, or
@@ -6,7 +7,8 @@ an array of the wrong kind (bool, string, object, or complex for a real
 argument) raises the PauliMemError subclass the function raises for its other checks;
 a NaN is named as such. The valid input in each row must still be accepted.
 The four functions that take Pauli weights also reject weights whose values
-break the contract their docstrings state.
+break the contract their docstrings state. An integer argument refuses bools,
+floats, text and None with its literal message, and takes numpy integers.
 """
 
 import math
@@ -18,17 +20,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paulimem import (
+    BadIndex,
     InvalidSpectrum,
     InvalidState,
     NonHermitian,
     NonNormalized,
     OutOfRange,
     PauliChannel,
+    PauliMemError,
     PureStateParams,
     SearchConfig,
     a2_coefficient,
     apply_channel,
     apply_channel_weights,
+    bell_state,
     capacity_sweep,
     channel_params,
     density_matrix,
@@ -40,6 +45,7 @@ from paulimem import (
     params_from_state,
     params_from_states,
     pauli_weights,
+    product_optimal_state,
     state_vector,
     state_vectors,
     verify_ensemble_achievability,
@@ -87,6 +93,32 @@ CASES = {
                                OutOfRange, [0.0, 0.3, 1.0], [(None,)], "mu grid"),
 }
 
+# name: (callable of the one integer argument, its error, its message for a
+# refused value v, with {!r} for v); 1 is a valid value of each.
+INTEGER_CASES = {
+    "SearchConfig.grid_points_per_angle": (lambda v: SearchConfig(grid_points_per_angle=v),
+                                           OutOfRange,
+                                           "grid_points_per_angle must be an integer, got {!r}"),
+    "SearchConfig.restarts": (lambda v: SearchConfig(restarts=v), OutOfRange,
+                              "restarts must be an integer, got {!r}"),
+    "SearchConfig.seed": (lambda v: SearchConfig(seed=v), OutOfRange,
+                          "seed must be an integer, got {!r}"),
+    "product_optimal_state.l": (product_optimal_state, BadIndex,
+                                "axis index must be 1, 2 or 3, got {!r}"),
+    "product_optimal_state.zeta": (lambda v: product_optimal_state(3, v), BadIndex,
+                                   "signs must be +1 or -1, got ({!r}, 1)"),
+    "product_optimal_state.xi": (lambda v: product_optimal_state(3, 1, v), BadIndex,
+                                 "signs must be +1 or -1, got (1, {!r})"),
+    "bell_state.eta": (lambda v: bell_state(v, -1, 1), BadIndex,
+                       "signs must be +1 or -1, got ({!r}, -1, 1)"),
+    "bell_state.nu": (lambda v: bell_state(-1, v, 1), BadIndex,
+                      "signs must be +1 or -1, got (-1, {!r}, 1)"),
+    "bell_state.xi": (lambda v: bell_state(1, -1, v), BadIndex,
+                      "signs must be +1 or -1, got (1, -1, {!r})"),
+}
+# True == 1 and 1.0 == 1, so a range or membership test alone would let them in.
+NOT_INTEGERS = [True, np.True_, 1.0, "1", None]
+
 
 def trace_weights(w00):
     """W with its trace weight w[0, 0] set to w00."""
@@ -133,6 +165,21 @@ def test_valid_input_is_accepted(case):
 def test_bad_weight_values(case, value, message):
     rejects(case, value, message)
     rejects(case, value.tolist(), message)
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_integer_argument_refuses(case, value):
+    build, error, message = INTEGER_CASES[case]
+    with pytest.raises(PauliMemError) as info:
+        build(value)
+    assert type(info.value) is error
+    assert str(info.value) == message.format(value)
+
+
+@pytest.mark.parametrize("case", INTEGER_CASES)
+def test_integer_argument_takes_numpy_integers(case):
+    INTEGER_CASES[case][0](np.int64(1))
 
 
 @cases
