@@ -15,7 +15,6 @@ import importlib
 _EXPORTS = {
     "capacity": (
         "CapacityCurve",
-        "CapacityResult",
         "ChannelParams",
         "apply_channel",
         "apply_channel_weights",
@@ -43,7 +42,7 @@ _EXPORTS = {
         "ordering",
         "thresholds",
     ),
-    "closed_form": ("Regime",),
+    "closed_form": ("CapacityResult", "Regime"),
     "errors": (
         "BadIndex",
         "InvalidSpectrum",

@@ -18,10 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps, _eps_diagonal, _epsilon_matrix
-from .channel import _frozen, _params
-from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, Regime
-from .closed_form import _fields, _float_entropies, _point, _spectrum_values, _to_dict
-from .closed_form import _winning_spectrum, json_text
+from .channel import _params
+from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, CapacityResult
+from .closed_form import Regime, _float_entropies, _point, _result, _spectrum_values, json_text
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2, SIGN_TABLE
 from .states import _checked_weights, checked_array
@@ -186,45 +185,6 @@ def spectrum_bell_regime(cp: ChannelParams) -> np.ndarray:
     return _cp_spectra(cp)[1]
 
 
-@dataclass(frozen=True, eq=False)
-class CapacityResult:
-    """Two-use capacity at one memory value, with both branch diagnostics.
-
-    Results compare by value, field by field as to_dict gives them; they are
-    not hashable.
-    """
-
-    mu: float
-    regime: Regime
-    lambdas_product: np.ndarray
-    lambdas_bell: np.ndarray
-    entropy_product: float
-    entropy_bell: float
-    c2: float
-    mu_ml: float
-    mu_star: float
-    optimal_state_descriptor: dict
-
-    def __post_init__(self):
-        # Read-only copies: the caller's arrays stay theirs, and writeable.
-        for name in ("lambdas_product", "lambdas_bell"):
-            spectrum = np.array(getattr(self, name), dtype=float)
-            spectrum.setflags(write=False)
-            object.__setattr__(self, name, spectrum)
-
-    def __eq__(self, other):
-        if not isinstance(other, CapacityResult):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
-
-    def winning_spectrum(self) -> np.ndarray:
-        """Spectrum of the branch named in optimal_state_descriptor."""
-        return _winning_spectrum(self)
-
-    def to_dict(self) -> dict:
-        return _to_dict(self)
-
-
 def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     """Classical capacity of two correlated uses, in bits per use.
 
@@ -237,11 +197,12 @@ def capacity_two_use(channel: PauliChannel) -> CapacityResult:
     the descriptor; both families are then optimal. The values are those of
     closed_form._point, with its two spectra as halves of one array.
     """
-    fields = _point(channel)
-    # Over bytes, which are immutable, the array and both halves are read-only.
-    lam = np.frombuffer(_PACK_SPECTRA(*fields["lambdas_product"], *fields["lambdas_bell"]))
-    fields["lambdas_product"], fields["lambdas_bell"] = lam[:4], lam[4:]
-    return _frozen(CapacityResult, fields)
+    r = _point(channel)
+    # Over bytes, which are immutable, the array and both halves are read-only. r is
+    # not yet shared, so they replace its lists in its dict, as _frozen filled it.
+    lam = np.frombuffer(_PACK_SPECTRA(*r.lambdas_product, *r.lambdas_bell))
+    vars(r).update(lambdas_product=lam[:4], lambdas_bell=lam[4:])
+    return r
 
 
 @dataclass(frozen=True, eq=False)
@@ -276,8 +237,7 @@ class CapacityCurve(Sequence):
         i = operator.index(i)
         s_p, s_b = self.entropies[i].tolist()
         lam_p, lam_b = self.spectra[i, 0], self.spectra[i, 1]  # views of the read-only column
-        fields = _fields(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds)
-        return _frozen(CapacityResult, fields)
+        return _result(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds)
 
 
 def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:

@@ -23,10 +23,9 @@ import tempfile
 from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
-from types import SimpleNamespace
 
 from .channel import FAMILIES, PauliChannel, _params, channel_from_config, thresholds
-from .closed_form import SWEEP_CSV_HEADER, _point, _to_dict, _winning_spectrum, csv_text, json_text
+from .closed_form import SWEEP_CSV_HEADER, _point, csv_text, json_text
 from .errors import PauliMemError
 
 
@@ -196,10 +195,10 @@ def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
 
 def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
     # capacity_two_use in plain floats, in the layout of one sweep entry.
-    r = SimpleNamespace(**_point(channel))
+    r = _point(channel)
     if args.format == "json":
-        return [json_text(_to_dict(r))], 0
-    row = (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *_winning_spectrum(r))
+        return [json_text(r.to_dict())], 0
+    row = (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *r.winning_spectrum())
     return [csv_text(SWEEP_CSV_HEADER, [row])], 0
 
 

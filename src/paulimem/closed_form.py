@@ -1,21 +1,27 @@
-"""The two-use capacity at one memory value, in plain Python floats; no numpy is imported.
+"""The two-use capacity at one memory value in plain Python floats, and its record,
+CapacityResult; no numpy is imported.
 
 Both candidate input families (product states along the dominant Pauli axis, and
 Bell states) have closed-form output spectra, written here once; capacity.py runs
 the same expressions on numpy columns. The capacity per use is 1 - S/2, S the
 smaller output entropy. Every closed-form log2 is the C library's (math.log2), so
 no bit depends on numpy's SIMD path. The CLI's point commands load only this,
-channel.py and errors.py.
+channel.py and errors.py; building a CapacityResult directly loads numpy.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps_diagonal
+from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps_diagonal, _frozen
 from .errors import InvalidSpectrum
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SPECTRUM_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -97,16 +103,87 @@ def _float_entropies(spectra: list) -> list:
     return entropies
 
 
-def _fields(mu: float, lam_p, lam_b, s_p: float, s_b: float, l: int, th: Thresholds) -> dict:
-    """The fields of a capacity result at one mu, in capacity.CapacityResult's order,
-    from both branch spectra (as given) and their entropies; on a tie the
-    descriptor names the product family, both families being optimal."""
+@dataclass(frozen=True, eq=False)
+class CapacityResult:
+    """Two-use capacity at one memory value, with both branch diagnostics.
+
+    capacity_two_use and curve entries hold the spectra as read-only numpy arrays,
+    the CLI's _point as lists. Results compare by value, field by field as to_dict
+    gives them; they are not hashable.
+    """
+
+    mu: float
+    regime: Regime
+    lambdas_product: np.ndarray
+    lambdas_bell: np.ndarray
+    entropy_product: float
+    entropy_bell: float
+    c2: float
+    mu_ml: float
+    mu_star: float
+    optimal_state_descriptor: dict
+
+    def __post_init__(self):
+        """Only a direct build or dataclasses.replace runs this, and loads numpy: it holds
+        read-only copies of the spectra (the caller's arrays stay theirs, and writeable),
+        and raises InvalidSpectrum if the entropies, c2, regime or family do not follow
+        from them as _point and capacity_sweep derive them."""
+        import numpy as np
+
+        for name in ("lambdas_product", "lambdas_bell"):
+            spectrum = np.array(getattr(self, name), dtype=float)
+            spectrum.setflags(write=False)
+            object.__setattr__(self, name, spectrum)
+        s_p, s_b = _float_entropies([self.lambdas_product.tolist(), self.lambdas_bell.tolist()])
+        regime = _regime(s_p, s_b)
+        derived = {"entropy_product": (self.entropy_product, s_p),
+                   "entropy_bell": (self.entropy_bell, s_b),
+                   "c2": (self.c2, 1.0 - min(s_p, s_b) / 2.0),
+                   "regime": (self.regime, regime),
+                   "family": (self.optimal_state_descriptor["family"],
+                              "bell" if regime is _ENTANGLED else "product")}
+        for name, (given, value) in derived.items():
+            if given != value:
+                raise InvalidSpectrum(f"{name} {given!r} does not follow from the spectra, "
+                                      f"which give {value!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, CapacityResult):
+            return NotImplemented
+        return self.to_dict() == other.to_dict()
+
+    def winning_spectrum(self):
+        """Spectrum of the branch named in optimal_state_descriptor."""
+        if self.optimal_state_descriptor["family"] == "product":
+            return self.lambdas_product
+        return self.lambdas_bell
+
+    def to_dict(self) -> dict:
+        return {
+            "mu": self.mu,
+            "regime": self.regime.value,
+            "c2": self.c2,
+            "entropy_product": self.entropy_product,
+            "entropy_bell": self.entropy_bell,
+            "lambdas_product": [float(x) for x in self.lambdas_product],
+            "lambdas_bell": [float(x) for x in self.lambdas_bell],
+            "mu_ml": self.mu_ml,
+            "mu_star": self.mu_star,
+            "optimal_state": self.optimal_state_descriptor,
+        }
+
+
+def _result(mu: float, lam_p, lam_b, s_p: float, s_b: float, l: int,
+            th: Thresholds) -> CapacityResult:
+    """The capacity result at one mu, from both branch spectra (held as given) and
+    their entropies; on a tie the descriptor names the product family, both
+    families being optimal."""
     regime = _regime(s_p, s_b)
     if regime is _ENTANGLED:
         descriptor = {"family": "bell", "signs": [1, -1, 1]}
     else:
         descriptor = {"family": "product", "l": l}
-    return {
+    return _frozen(CapacityResult, {
         "mu": mu,
         "regime": regime,
         "lambdas_product": lam_p,
@@ -117,41 +194,18 @@ def _fields(mu: float, lam_p, lam_b, s_p: float, s_b: float, l: int, th: Thresho
         "mu_ml": th.mu_ml,
         "mu_star": th.mu_star,
         "optimal_state_descriptor": descriptor,
-    }
+    })
 
 
-def _point(channel: PauliChannel) -> dict:
-    """capacity_two_use in plain floats: its fields, with each spectrum a list sorted
-    descending. eps, the ordering and the thresholds come from one _capacity_inputs."""
+def _point(channel: PauliChannel) -> CapacityResult:
+    """capacity_two_use in plain floats, with each spectrum a list sorted descending.
+    eps, the ordering and the thresholds come from one _capacity_inputs."""
     eps, (l, _, _), th = _capacity_inputs(channel)
     d = _eps_diagonal(eps, channel.mu)
     lam = _spectrum_values(d, d[l], eps[l])
     lam_p, lam_b = sorted(lam[:4], reverse=True), sorted(lam[4:], reverse=True)
     s_p, s_b = _float_entropies([lam_p, lam_b])
-    return _fields(channel.mu, lam_p, lam_b, s_p, s_b, l, th)
-
-
-def _winning_spectrum(r):
-    """The spectrum of the branch named in r's optimal_state_descriptor."""
-    if r.optimal_state_descriptor["family"] == "product":
-        return r.lambdas_product
-    return r.lambdas_bell
-
-
-def _to_dict(r) -> dict:
-    """The JSON form of a capacity result r: a CapacityResult, or a namespace of _point."""
-    return {
-        "mu": r.mu,
-        "regime": r.regime.value,
-        "c2": r.c2,
-        "entropy_product": r.entropy_product,
-        "entropy_bell": r.entropy_bell,
-        "lambdas_product": [float(x) for x in r.lambdas_product],
-        "lambdas_bell": [float(x) for x in r.lambdas_bell],
-        "mu_ml": r.mu_ml,
-        "mu_star": r.mu_star,
-        "optimal_state": r.optimal_state_descriptor,
-    }
+    return _result(channel.mu, lam_p, lam_b, s_p, s_b, l, th)
 
 
 def format_number(x) -> str:

@@ -39,6 +39,7 @@ from paulimem import (
 )
 from paulimem import capacity as capacity_module
 from paulimem import channel as channel_module
+from paulimem import closed_form
 from paulimem.capacity import (
     _BLOCK_ROWS,
     _REGIMES,
@@ -689,10 +690,13 @@ class TestCapacityCurve:
             curve.mu = np.zeros(11)
 
     def test_results_are_as_init_builds_them(self):
-        # capacity_two_use and indexing build results without __init__
-        for r in (self.curve()[3], capacity_two_use(self.BASE.with_mu(0.3))):
+        # capacity_two_use and indexing build results without __init__; one product
+        # and one Bell entry pass __init__'s check against the spectra
+        curve = self.curve()
+        for r in (curve[3], curve[9], capacity_two_use(self.BASE.with_mu(0.3))):
             rebuilt = dataclasses.replace(r)
             assert repr(r) == repr(rebuilt) and r == rebuilt
+            assert dataclasses.replace(r, mu_star=0.5).mu_star == 0.5  # not checked
             assert list(vars(r)) == list(vars(rebuilt))
             with pytest.raises(dataclasses.FrozenInstanceError):
                 r.c2 = 0.5
@@ -704,12 +708,32 @@ class TestCapacityCurve:
 
     def test_init_copies_the_callers_spectra(self):
         r = capacity_two_use(self.BASE.with_mu(0.3))
-        product, bell = r.lambdas_product.copy(), [0.4, 0.3, 0.2, 0.1]
+        product, bell = r.lambdas_product.copy(), r.lambdas_bell.tolist()
         twin = dataclasses.replace(r, lambdas_product=product, lambdas_bell=bell)
         assert product.flags.writeable
         for given, held in ((product, twin.lambdas_product), (bell, twin.lambdas_bell)):
             assert held is not given and held.dtype == float and not held.flags.writeable
             assert np.array_equal(held, given)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"lambdas_product": np.array([0.4, 0.3, 0.2, 0.1])},
+         "entropy_product 1.7002422497084273 does not follow from the spectra, "
+         "which give 1.8464393446710154"),
+        ({"entropy_bell": 1.0},
+         "entropy_bell 1.0 does not follow from the spectra, which give 1.7689961527781786"),
+        ({"c2": 0.5}, "c2 0.5 does not follow from the spectra, which give 0.14987887514578635"),
+        ({"regime": Regime.ENTANGLED},
+         "regime <Regime.ENTANGLED: 'entangled'> does not follow from the spectra, "
+         "which give <Regime.PRODUCT: 'product'>"),
+        ({"optimal_state_descriptor": {"family": "bell", "signs": [1, -1, 1]}},
+         "family 'bell' does not follow from the spectra, which give 'product'"),
+    ], ids=["spectrum", "entropy", "c2", "regime", "family"])
+    def test_init_refuses_fields_the_spectra_contradict(self, change, message):
+        r = capacity_two_use(self.BASE.with_mu(0.3))
+        assert r.regime is Regime.PRODUCT
+        with pytest.raises(InvalidSpectrum) as exc:
+            dataclasses.replace(r, **change)
+        assert str(exc.value) == message
 
     def test_owns_its_grid(self):
         grid = np.linspace(0.0, 1.0, 5)
@@ -728,6 +752,23 @@ class TestCapacityCurve:
         finally:
             tracemalloc.stop()
         assert peak < 6e6
+
+
+class TestOneRecord:
+    """The CLI's plain-float _point and capacity_two_use build the same CapacityResult."""
+
+    def test_capacity_module_reexports_the_closed_form_record(self):
+        assert capacity_module.CapacityResult is closed_form.CapacityResult
+
+    def test_point_equals_capacity_two_use(self):
+        rng = np.random.default_rng(35)
+        for _ in range(1000):
+            ch = random_channel(rng)
+            point, r = closed_form._point(ch), capacity_two_use(ch)
+            assert type(point) is closed_form.CapacityResult
+            assert type(point.lambdas_product) is list and type(point.lambdas_bell) is list
+            assert point.to_dict() == r.to_dict()
+            assert point.winning_spectrum() == r.winning_spectrum().tolist()
 
 
 class TestEnsemble:

@@ -761,6 +761,15 @@ class TestImports:
         proc = self._python(script)
         assert proc.returncode == 0, proc.stderr
 
+    def test_package_capacity_result_loads_no_numpy(self):
+        script = (
+            "import sys, paulimem\n"
+            "assert paulimem.CapacityResult.__module__ == 'paulimem.closed_form'\n"
+            "assert 'numpy' not in sys.modules\n"
+        )
+        proc = self._python(script)
+        assert proc.returncode == 0, proc.stderr
+
     def test_every_exported_name_is_its_home_module_object(self):
         script = (
             "import importlib, paulimem\n"

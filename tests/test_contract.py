@@ -117,7 +117,7 @@ INTEGER_CASES = {
                       "signs must be +1 or -1, got (1, -1, {!r})"),
 }
 # True == 1 and 1.0 == 1, so a range or membership test alone would let them in.
-NOT_INTEGERS = [True, np.True_, 1.0, "1", None]
+NOT_INTEGERS = [True, False, np.True_, 1.0, 2.5, "1", None]
 
 
 def trace_weights(w00):
