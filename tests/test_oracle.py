@@ -196,12 +196,25 @@ class TestSearchConfig:
         with pytest.raises(OutOfRange, match="seed"):
             SearchConfig(seed=-1)
 
+    @pytest.mark.parametrize("field", ["grid_points_per_angle", "restarts", "seed"])
+    def test_validation_rejects_non_integer(self, field):
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            SearchConfig(**{field: 2.5})
+        SearchConfig(**{field: np.int64(2)})  # numpy integers are integers
+
     def test_numpy_integers_are_stored_as_int(self):
         cfg = SearchConfig(np.int64(2), np.int64(3), np.int64(1))
         assert [type(v) for v in (cfg.grid_points_per_angle, cfg.restarts, cfg.seed)] == [int] * 3
         assert cfg == SearchConfig(2, 3, 1) and hash(cfg) == hash(SearchConfig(2, 3, 1))
         res = min_entropy_bruteforce(PauliChannel(ILLUSTRATION_Q, 0.5), cfg)
         assert type(res.evaluations) is int
+
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+    @pytest.mark.parametrize("field", ["grid_points_per_angle", "restarts", "seed"])
+    def test_validation_rejects_bool(self, field, value):
+        # operator.index(True) is 1, so a bool would pass as an integer
+        with pytest.raises(OutOfRange, match=f"{field} must be an integer"):
+            SearchConfig(**{field: value})
 
     def test_sizes_bounded(self):
         # validation only: a config is plain data, nothing is allocated

@@ -220,8 +220,32 @@ class TestOptimalFamilies:
         with pytest.raises(BadIndex):
             product_optimal_state(1, 2, 1)
 
+    @pytest.mark.parametrize("l", [True, np.True_, 1.0, "1"], ids=repr)
+    def test_product_axis_must_be_an_integer(self, l):
+        # True == 1, and SIGMA[True] would read as a new axis
+        with pytest.raises(BadIndex):
+            product_optimal_state(l)
+
     def test_product_axis_takes_numpy_integers(self):
         assert np.array_equal(product_optimal_state(np.int64(2)), product_optimal_state(2))
+
+    @pytest.mark.parametrize("sign", [True, np.True_, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("where", range(2), ids=["zeta", "xi"])
+    def test_product_signs_must_be_integers(self, sign, where):
+        # True == 1 and 1.0 == 1, so a membership test alone would let them in
+        signs = [1, 1]
+        signs[where] = sign
+        with pytest.raises(BadIndex):
+            product_optimal_state(3, *signs)
+
+    @pytest.mark.parametrize("sign", [True, np.True_, 1.0, "1"], ids=repr)
+    @pytest.mark.parametrize("where", range(3), ids=["eta", "nu", "xi"])
+    def test_bell_signs_must_be_integers(self, sign, where):
+        signs = [1, 1, 1]
+        signs[(where + 1) % 3] = -1
+        signs[where] = sign  # read as +1, a Bell pattern with product -1
+        with pytest.raises(BadIndex):
+            bell_state(*signs)
 
     def test_signs_take_numpy_integers(self):
         one, minus = np.int64(1), np.int32(-1)
