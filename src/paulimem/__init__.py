@@ -19,7 +19,6 @@ _EXPORTS = {
         "apply_channel",
         "apply_channel_weights",
         "capacity_sweep",
-        "capacity_two_use",
         "channel_params",
         "ensemble_output_entropies",
         "entropy_bits",
@@ -42,7 +41,7 @@ _EXPORTS = {
         "ordering",
         "thresholds",
     ),
-    "closed_form": ("CapacityResult", "Regime"),
+    "closed_form": ("CapacityResult", "Regime", "capacity_two_use"),
     "errors": (
         "BadIndex",
         "InvalidSpectrum",

@@ -1,8 +1,8 @@
-"""The closed form in numpy arrays: the capacity at one point, the capacity curve along a
-memory grid with its CSV and JSON writers, and the channel's numpy views and actions.
+"""The closed form in numpy arrays: the capacity curve along a memory grid with its CSV
+and JSON writers, and the channel's numpy views and actions.
 
-capacity_two_use is closed_form._point with its spectra as a read-only array; a
-sweep evaluates the same spectrum expressions on columns, with the same libm log2.
+capacity_two_use (closed_form's, in plain floats) is imported here; a sweep evaluates
+the same spectrum expressions on columns, with the same libm log2.
 The equal-weight ensemble of the sixteen Pauli-conjugated copies of the optimal
 input achieves the capacity.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import operator
-import struct
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -20,7 +19,8 @@ import numpy as np
 from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps, _eps_diagonal, _epsilon_matrix
 from .channel import _params
 from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, CapacityResult
-from .closed_form import Regime, _float_entropies, _point, _result, _spectrum_values, json_text
+from .closed_form import Regime, _float_entropies, _result, _spectrum_values, capacity_two_use
+from .closed_form import json_text
 from .errors import InvalidSpectrum, InvalidState, OutOfRange
 from .pauli import PAULI2, SIGN_TABLE
 from .states import _checked_weights, checked_array
@@ -31,7 +31,6 @@ _ENSEMBLE_ENTROPY_TOL = 1e-10
 # enough that numpy's per-call cost is spread thin, small enough that a
 # block's temporaries, Python floats and text stay a few MB.
 _BLOCK_ROWS = 8192
-_PACK_SPECTRA = struct.Struct("8d").pack
 
 
 @dataclass(frozen=True)
@@ -185,26 +184,6 @@ def spectrum_bell_regime(cp: ChannelParams) -> np.ndarray:
     return _cp_spectra(cp)[1]
 
 
-def capacity_two_use(channel: PauliChannel) -> CapacityResult:
-    """Classical capacity of two correlated uses, in bits per use.
-
-    Evaluates both analytic branches and returns c2 = 1 - S_min/2. The regime
-    label comes from comparing the two entropies directly (differences below
-    1e-12 report TIE); mu_star is reported alongside but not used for the
-    decision. mu_star is where the two output spectra have equal purity
-    sum(lam^2), not equal entropy, so the entropies can still differ there
-    by a few hundredths of a bit. On a tie the product family is named in
-    the descriptor; both families are then optimal. The values are those of
-    closed_form._point, with its two spectra as halves of one array.
-    """
-    r = _point(channel)
-    # Over bytes, which are immutable, the array and both halves are read-only. r is
-    # not yet shared, so they replace its lists in its dict, as _frozen filled it.
-    lam = np.frombuffer(_PACK_SPECTRA(*r.lambdas_product, *r.lambdas_bell))
-    vars(r).update(lambdas_product=lam[:4], lambdas_bell=lam[4:])
-    return r
-
-
 @dataclass(frozen=True, eq=False)
 class CapacityCurve(Sequence):
     """Two-use capacity along a memory grid, held as read-only columns.
@@ -236,7 +215,7 @@ class CapacityCurve(Sequence):
             )
         i = operator.index(i)
         s_p, s_b = self.entropies[i].tolist()
-        lam_p, lam_b = self.spectra[i, 0], self.spectra[i, 1]  # views of the read-only column
+        lam_p, lam_b = map(tuple, self.spectra[i].tolist())
         return _result(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds)
 
 

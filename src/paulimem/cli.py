@@ -25,7 +25,7 @@ from dataclasses import asdict
 from decimal import Decimal, DecimalException, InvalidOperation
 
 from .channel import FAMILIES, PauliChannel, _params, channel_from_config, thresholds
-from .closed_form import SWEEP_CSV_HEADER, _point, csv_text, json_text
+from .closed_form import SWEEP_CSV_HEADER, capacity_two_use, csv_text, json_text
 from .errors import PauliMemError
 
 
@@ -194,8 +194,8 @@ def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
 
 
 def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
-    # capacity_two_use in plain floats, in the layout of one sweep entry.
-    r = _point(channel)
+    # The plain-float closed form, in the layout of one sweep entry.
+    r = capacity_two_use(channel)
     if args.format == "json":
         return [json_text(r.to_dict())], 0
     row = (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *r.winning_spectrum())

@@ -6,7 +6,7 @@ Bell states) have closed-form output spectra, written here once; capacity.py run
 the same expressions on numpy columns. The capacity per use is 1 - S/2, S the
 smaller output entropy. Every closed-form log2 is the C library's (math.log2), so
 no bit depends on numpy's SIMD path. The CLI's point commands load only this,
-channel.py and errors.py; building a CapacityResult directly loads numpy.
+channel.py and errors.py.
 """
 
 from __future__ import annotations
@@ -15,13 +15,10 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
 
-from .channel import PauliChannel, Thresholds, _capacity_inputs, _eps_diagonal, _frozen
-from .errors import InvalidSpectrum
-
-if TYPE_CHECKING:
-    import numpy as np
+from .channel import _NOT_REAL, PauliChannel, Thresholds, _capacity_inputs, _eps_diagonal
+from .channel import _frozen, _real
+from .errors import InvalidSpectrum, OutOfRange
 
 _SPECTRUM_TOL = 1e-9
 _TIE_TOL = 1e-12
@@ -107,15 +104,15 @@ def _float_entropies(spectra: list) -> list:
 class CapacityResult:
     """Two-use capacity at one memory value, with both branch diagnostics.
 
-    capacity_two_use and curve entries hold the spectra as read-only numpy arrays,
-    the CLI's _point as lists. Results compare by value, field by field as to_dict
+    Each spectrum is a 4-tuple of floats, sorted descending where capacity_two_use
+    or a curve entry builds it. Results compare by value, field by field as to_dict
     gives them; they are not hashable.
     """
 
     mu: float
     regime: Regime
-    lambdas_product: np.ndarray
-    lambdas_bell: np.ndarray
+    lambdas_product: tuple[float, float, float, float]
+    lambdas_bell: tuple[float, float, float, float]
     entropy_product: float
     entropy_bell: float
     c2: float
@@ -124,17 +121,13 @@ class CapacityResult:
     optimal_state_descriptor: dict
 
     def __post_init__(self):
-        """Only a direct build or dataclasses.replace runs this, and loads numpy: it holds
-        read-only copies of the spectra (the caller's arrays stay theirs, and writeable),
-        and raises InvalidSpectrum if the entropies, c2, regime or family do not follow
-        from them as _point and capacity_sweep derive them."""
-        import numpy as np
-
+        """Only a direct build or dataclasses.replace runs this: it holds each spectrum
+        as a 4-tuple of floats, refusing text and bools as PauliChannel does, and raises
+        InvalidSpectrum if the entropies, c2, regime or family do not follow from them
+        as capacity_two_use and capacity_sweep derive them."""
         for name in ("lambdas_product", "lambdas_bell"):
-            spectrum = np.array(getattr(self, name), dtype=float)
-            spectrum.setflags(write=False)
-            object.__setattr__(self, name, spectrum)
-        s_p, s_b = _float_entropies([self.lambdas_product.tolist(), self.lambdas_bell.tolist()])
+            object.__setattr__(self, name, _spectrum(getattr(self, name), name))
+        s_p, s_b = _float_entropies([self.lambdas_product, self.lambdas_bell])
         regime = _regime(s_p, s_b)
         derived = {"entropy_product": (self.entropy_product, s_p),
                    "entropy_bell": (self.entropy_bell, s_b),
@@ -143,7 +136,8 @@ class CapacityResult:
                    "family": (self.optimal_state_descriptor["family"],
                               "bell" if regime is _ENTANGLED else "product")}
         for name, (given, value) in derived.items():
-            if given != value:
+            # A Regime equals its text ("product"); only the member itself follows.
+            if given != value or name == "regime" and given is not value:
                 raise InvalidSpectrum(f"{name} {given!r} does not follow from the spectra, "
                                       f"which give {value!r}")
 
@@ -165,19 +159,36 @@ class CapacityResult:
             "c2": self.c2,
             "entropy_product": self.entropy_product,
             "entropy_bell": self.entropy_bell,
-            "lambdas_product": [float(x) for x in self.lambdas_product],
-            "lambdas_bell": [float(x) for x in self.lambdas_bell],
+            "lambdas_product": list(self.lambdas_product),
+            "lambdas_bell": list(self.lambdas_bell),
             "mu_ml": self.mu_ml,
             "mu_star": self.mu_star,
             "optimal_state": self.optimal_state_descriptor,
         }
 
 
-def _result(mu: float, lam_p, lam_b, s_p: float, s_b: float, l: int,
+def _spectrum(values, name: str) -> tuple:
+    """values as a 4-tuple of floats, each through channel._real; text, a bool, a value
+    that does not iterate and a length other than 4 raise InvalidSpectrum."""
+    message = name + " entry {!r} is not a real number"
+    try:
+        if isinstance(values, _NOT_REAL):  # bytes iterate to ints
+            raise TypeError
+        spectrum = tuple([_real(x, message) for x in values])
+    except TypeError:
+        raise InvalidSpectrum(f"{name} must be 4 real numbers, got {values!r}") from None
+    except OutOfRange as exc:
+        raise InvalidSpectrum(str(exc)) from None
+    if len(spectrum) != 4:
+        raise InvalidSpectrum(f"{name} holds {len(spectrum)} values, not 4")
+    return spectrum
+
+
+def _result(mu: float, lam_p: tuple, lam_b: tuple, s_p: float, s_b: float, l: int,
             th: Thresholds) -> CapacityResult:
-    """The capacity result at one mu, from both branch spectra (held as given) and
-    their entropies; on a tie the descriptor names the product family, both
-    families being optimal."""
+    """The capacity result at one mu, from both branch spectra (4-tuples of floats,
+    held as given) and their entropies; on a tie the descriptor names the product
+    family, both families being optimal."""
     regime = _regime(s_p, s_b)
     if regime is _ENTANGLED:
         descriptor = {"family": "bell", "signs": [1, -1, 1]}
@@ -197,13 +208,23 @@ def _result(mu: float, lam_p, lam_b, s_p: float, s_b: float, l: int,
     })
 
 
-def _point(channel: PauliChannel) -> CapacityResult:
-    """capacity_two_use in plain floats, with each spectrum a list sorted descending.
-    eps, the ordering and the thresholds come from one _capacity_inputs."""
+def capacity_two_use(channel: PauliChannel) -> CapacityResult:
+    """Classical capacity of two correlated uses, in bits per use.
+
+    Evaluates both analytic branches and returns c2 = 1 - S_min/2. The regime
+    label comes from comparing the two entropies directly (differences below
+    1e-12 report TIE); mu_star is reported alongside but not used for the
+    decision. mu_star is where the two output spectra have equal purity
+    sum(lam^2), not equal entropy, so the entropies can still differ there
+    by a few hundredths of a bit. On a tie the product family is named in
+    the descriptor; both families are then optimal. Each spectrum is a tuple
+    sorted descending; eps, the ordering and the thresholds come from one
+    _capacity_inputs.
+    """
     eps, (l, _, _), th = _capacity_inputs(channel)
     d = _eps_diagonal(eps, channel.mu)
     lam = _spectrum_values(d, d[l], eps[l])
-    lam_p, lam_b = sorted(lam[:4], reverse=True), sorted(lam[4:], reverse=True)
+    lam_p, lam_b = tuple(sorted(lam[:4], reverse=True)), tuple(sorted(lam[4:], reverse=True))
     s_p, s_b = _float_entropies([lam_p, lam_b])
     return _result(channel.mu, lam_p, lam_b, s_p, s_b, l, th)
 

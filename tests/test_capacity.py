@@ -50,7 +50,7 @@ from paulimem.capacity import (
     sweep_json_blocks,
 )
 from paulimem.closed_form import _regime, csv_text
-from paulimem.cli import _parse_grid
+from paulimem.cli import _parse_grid, main
 from paulimem.oracle import SearchConfig
 from conftest import ILLUSTRATION_Q, random_channel, random_pure_density
 
@@ -306,7 +306,8 @@ class TestCapacity:
             r = capacity_two_use(random_channel(rng))
             assert 0.0 <= r.c2 <= 1.0
             assert r.c2 == 1.0 - min(r.entropy_product, r.entropy_bell) / 2.0
-            assert r.winning_spectrum().shape == (4,)
+            w = r.winning_spectrum()
+            assert type(w) is tuple and list(map(type, w)) == [float] * 4
 
     def test_descriptor_names_the_axis(self):
         r = capacity_two_use(PauliChannel(ILLUSTRATION_Q, 0.1))
@@ -324,7 +325,7 @@ class TestCapacity:
         base = depolarizing(0.25, 0.0)
         r = capacity_two_use(base.with_mu(capacity_two_use(base).mu_star))
         assert r.regime is Regime.TIE
-        assert np.abs(r.lambdas_product - r.lambdas_bell).max() < 1e-12
+        assert np.abs(np.subtract(r.lambdas_product, r.lambdas_bell)).max() < 1e-12
 
 
 class TestDataclassBehaviour:
@@ -391,7 +392,7 @@ class TestDataclassBehaviour:
         r = capacity_two_use(self.CHANNEL)
         d = dataclasses.asdict(r)
         assert list(d) == [f.name for f in dataclasses.fields(r)]
-        assert np.array_equal(d["lambdas_bell"], r.lambdas_bell) and d["c2"] == r.c2
+        assert d["lambdas_bell"] == r.lambdas_bell and d["c2"] == r.c2
 
     @built
     def test_deepcopy_and_pickle_round_trip(self, kind):
@@ -402,13 +403,12 @@ class TestDataclassBehaviour:
 
     @pytest.mark.parametrize("kind", ["result", "curve-entry"])
     def test_spectra_read_only(self, kind):
+        # Each spectrum is a tuple of 4 floats, which refuses item assignment.
         r = self.make(kind)
         for lam in (r.lambdas_product, r.lambdas_bell, r.winning_spectrum()):
-            assert lam.shape == (4,) and not lam.flags.writeable
-            with pytest.raises(ValueError):
+            assert type(lam) is tuple and list(map(type, lam)) == [float] * 4
+            with pytest.raises(TypeError):
                 lam[0] = 0.5
-            with pytest.raises(ValueError):
-                lam.setflags(write=True)
 
 
 class TestSweep:
@@ -460,8 +460,7 @@ def test_point_bits_pinned():
         a, b, c = sorted(u[:3])
         ch = PauliChannel((a, b - a, c - b, 1.0 - c), u[3])
         r = capacity_two_use(ch)
-        values = [*ordering(ch), r.mu_ml, r.mu_star, *r.lambdas_product.tolist(),
-                  *r.lambdas_bell.tolist()]
+        values = [*ordering(ch), r.mu_ml, r.mu_star, *r.lambdas_product, *r.lambdas_bell]
         h.update(" ".join(float(v).hex() for v in values).encode() + b"\n")
     assert h.hexdigest() == "eb7aba325f16d5a480a21abc559db261822e95280f9b877821870b21206ab378"
 
@@ -575,8 +574,8 @@ class TestMuStar:
         points = list(self.interior_points())
         assert len(points) > 250
         for r in points:
-            purity_p = float(np.sum(r.lambdas_product**2))
-            purity_b = float(np.sum(r.lambdas_bell**2))
+            purity_p = float(np.square(r.lambdas_product).sum())
+            purity_b = float(np.square(r.lambdas_bell).sum())
             assert abs(purity_p - purity_b) <= 1e-12
 
     def test_entropies_need_not_cross_there(self):
@@ -684,7 +683,8 @@ class TestCapacityCurve:
                 column[0] = 0.5
         r = curve[3]
         for spectrum in (r.lambdas_product, r.lambdas_bell, r.winning_spectrum()):
-            with pytest.raises(ValueError, match="read-only"):
+            assert type(spectrum) is tuple
+            with pytest.raises(TypeError, match="does not support item assignment"):
                 spectrum[0] = 0.5
         with pytest.raises(dataclasses.FrozenInstanceError):
             curve.mu = np.zeros(11)
@@ -703,17 +703,23 @@ class TestCapacityCurve:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 del r.mu
             for spectrum in (r.lambdas_product, r.lambdas_bell):
-                with pytest.raises(ValueError, match="read-only"):
+                assert type(spectrum) is tuple
+                with pytest.raises(TypeError, match="does not support item assignment"):
                     spectrum[0] = 0.5
 
     def test_init_copies_the_callers_spectra(self):
+        # The caller's array and list are left writable and unchanged, and the record
+        # holds tuples of floats that later writes to them do not reach.
         r = capacity_two_use(self.BASE.with_mu(0.3))
-        product, bell = r.lambdas_product.copy(), r.lambdas_bell.tolist()
+        product, bell = np.array(r.lambdas_product), list(r.lambdas_bell)
         twin = dataclasses.replace(r, lambdas_product=product, lambdas_bell=bell)
-        assert product.flags.writeable
+        assert product.flags.writeable and product.tolist() == list(r.lambdas_product)
+        assert bell == list(r.lambdas_bell)
         for given, held in ((product, twin.lambdas_product), (bell, twin.lambdas_bell)):
-            assert held is not given and held.dtype == float and not held.flags.writeable
-            assert np.array_equal(held, given)
+            assert type(held) is tuple and list(map(type, held)) == [float] * 4
+            assert list(held) == list(given)
+        product[0] = bell[0] = 0.5
+        assert twin == r and twin.lambdas_product == r.lambdas_product
 
     @pytest.mark.parametrize("change, message", [
         ({"lambdas_product": np.array([0.4, 0.3, 0.2, 0.1])},
@@ -727,7 +733,18 @@ class TestCapacityCurve:
          "which give <Regime.PRODUCT: 'product'>"),
         ({"optimal_state_descriptor": {"family": "bell", "signs": [1, -1, 1]}},
          "family 'bell' does not follow from the spectra, which give 'product'"),
-    ], ids=["spectrum", "entropy", "c2", "regime", "family"])
+        # Regime is a str Enum, equal to its text; only the member follows.
+        ({"regime": "product"},
+         "regime 'product' does not follow from the spectra, "
+         "which give <Regime.PRODUCT: 'product'>"),
+        ({"lambdas_product": [0.4, 0.3, 0.2, 0.1, 0.0]}, "lambdas_product holds 5 values, not 4"),
+        # float() reads True as 1 and parses "1": unrefused, both were the pure spectrum.
+        ({"lambdas_product": [True, False, False, False]},
+         "lambdas_product entry True is not a real number"),
+        ({"lambdas_bell": ["1", "0", "0", "0"]}, "lambdas_bell entry '1' is not a real number"),
+        ({"lambdas_bell": 0.5}, "lambdas_bell must be 4 real numbers, got 0.5"),
+    ], ids=["spectrum", "entropy", "c2", "regime", "family", "regime-text", "five-values",
+            "bool-entries", "text-entries", "not-iterable"])
     def test_init_refuses_fields_the_spectra_contradict(self, change, message):
         r = capacity_two_use(self.BASE.with_mu(0.3))
         assert r.regime is Regime.PRODUCT
@@ -755,20 +772,24 @@ class TestCapacityCurve:
 
 
 class TestOneRecord:
-    """The CLI's plain-float _point and capacity_two_use build the same CapacityResult."""
+    """The library and the CLI share one CapacityResult, from one capacity_two_use."""
 
     def test_capacity_module_reexports_the_closed_form_record(self):
         assert capacity_module.CapacityResult is closed_form.CapacityResult
 
-    def test_point_equals_capacity_two_use(self):
+    def test_point_equals_capacity_two_use(self, capsys):
+        # The CLI's capacity command prints the library's record, in JSON and as a CSV row.
         rng = np.random.default_rng(35)
         for _ in range(1000):
             ch = random_channel(rng)
-            point, r = closed_form._point(ch), capacity_two_use(ch)
-            assert type(point) is closed_form.CapacityResult
-            assert type(point.lambdas_product) is list and type(point.lambdas_bell) is list
-            assert point.to_dict() == r.to_dict()
-            assert point.winning_spectrum() == r.winning_spectrum().tolist()
+            r = capacity_two_use(ch)
+            assert type(r) is closed_form.CapacityResult
+            assert type(r.lambdas_product) is tuple and type(r.lambdas_bell) is tuple
+            argv = ["--q", ",".join(map(repr, ch.q)), "--mu", repr(ch.mu), "capacity"]
+            assert main([*argv, "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == r.to_dict()
+            assert main(argv) == 0
+            assert capsys.readouterr().out == reference_csv([r])
 
 
 class TestEnsemble:
@@ -873,8 +894,7 @@ class TestSweepJson:
 def reference_csv(results):
     """The writer sweep_to_csv must match byte for byte: each cell through format_number."""
     rows = (
-        (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell,
-         *r.winning_spectrum().tolist())
+        (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *r.winning_spectrum())
         for r in results
     )
     return csv_text(SWEEP_CSV_HEADER, rows)

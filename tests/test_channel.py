@@ -95,6 +95,7 @@ class TestFamilies:
 
     def test_mp_half(self):
         assert mp_channel(0.5, 0.0).q == (0.5, 0.0, 0.0, 0.5)
+        assert mp_channel(0.0, 0.3).q == (0.0, 0.5, 0.5, 0.0)  # the other end of [0, 1/2]
 
 
 
@@ -137,6 +138,9 @@ CONSTRUCTOR_ERRORS = {
     # the noiseless channel and mu = 1.
     "q-bool": (PauliChannel, ((True, False, False, False), 0.5), OutOfRange,
                "channel parameters must be real numbers"),
+    # Three exact floats after it: only the test of q[0] keeps this off the fast path.
+    "q-bool-then-floats": (PauliChannel, ((True, 0.0, 0.0, 0.0), 0.5), OutOfRange,
+                           "channel parameters must be real numbers"),
     "q-numpy-bool": (PauliChannel, ((0.5, 0.0, 0.0, np.False_), 0.5), OutOfRange,
                      "channel parameters must be real numbers"),
     "q-bool-array": (PauliChannel, (np.array([True, False, False, False]), 0.5), OutOfRange,

@@ -763,9 +763,16 @@ class TestImports:
 
     def test_package_capacity_result_loads_no_numpy(self):
         script = (
-            "import sys, paulimem\n"
+            "import dataclasses, sys, paulimem\n"
             "assert paulimem.CapacityResult.__module__ == 'paulimem.closed_form'\n"
+            "r = paulimem.capacity_two_use(paulimem.PauliChannel((0.2, 0.1, 0.3, 0.4), 0.5))\n"
+            "fields = {f.name: getattr(r, f.name) for f in dataclasses.fields(r)}\n"
+            "fields['lambdas_product'] = list(r.lambdas_product)\n"
+            "assert paulimem.CapacityResult(**fields) == r\n"
+            "assert dataclasses.replace(r, lambdas_bell=list(r.lambdas_bell)) == r\n"
             "assert 'numpy' not in sys.modules\n"
+            "import paulimem.capacity\n"
+            "assert paulimem.capacity.capacity_two_use is paulimem.closed_form.capacity_two_use\n"
         )
         proc = self._python(script)
         assert proc.returncode == 0, proc.stderr
