@@ -5,9 +5,10 @@ value), sweep (capacity curve over a memory grid), verify (brute-force check
 of the optimal families). Output is CSV or JSON on stdout or --out; exit
 codes are 0 (success), 1 (verification finding), 2 (usage or input error).
 
-Only verify imports the oracle, and only sweep and verify import numpy: capacity,
-params and thresholds run on the plain-float closed form of channel.py and
-closed_form.py, and a usage or input error exits before numpy would load.
+Only verify imports the oracle. capacity, params, thresholds and a sweep of at most
+_LIST_GRID_POINTS points run on the plain-float closed form of channel.py and
+closed_form.py and load no numpy; a larger sweep imports it, and verify always
+does. A usage or input error exits before numpy would load.
 """
 
 from __future__ import annotations
@@ -36,6 +37,11 @@ _MAX_GRID_POINTS = 1_000_001
 _MAX_GRID_DIGITS = 1100
 # Integers below this are exact in float64.
 _EXACT_INT = 2**53
+# Largest grid that sweep runs point by point on the plain-float closed form, loading
+# no numpy. Warm, that costs ~11 us a point more than the array route in CSV and
+# ~28 us more in JSON, and numpy with paulimem.capacity takes ~60 ms to import cold:
+# break-even near 5,000 points (CSV) and 2,100 (JSON), kept below both.
+_LIST_GRID_POINTS = 2_000
 
 
 def _parse_q(text: str) -> tuple[float, ...]:
@@ -90,20 +96,19 @@ def _parse_grid(text: str) -> Sequence[float]:
 
 
 def _grid_values(s: int, e: int, t: int, scale: int, n: int) -> Sequence[float]:
-    """min(s + k t, e) / scale for k = 0..n as a numpy array, each the float nearest
-    the exact quotient.
+    """min(s + k t, e) / scale for k = 0..n, each the float nearest the exact quotient.
 
-    While those integers and scale are below 2^53, float64 holds them exactly
-    and its division rounds correctly, so one array division serves; past
-    that, Python's division of integers, which rounds correctly too, runs
-    once per value. Only a command given --mu-grid loads numpy, here.
+    Python's division of integers rounds correctly, and gives a list. A grid of
+    more than _LIST_GRID_POINTS points whose integers and scale are below 2^53,
+    which float64 holds exactly and divides correctly, is one numpy array
+    division instead; only there does building a grid load numpy.
     """
-    import numpy as np
+    if n >= _LIST_GRID_POINTS and max(abs(s), abs(e), t, abs(s + n * t), scale) < _EXACT_INT:
+        import numpy as np
 
-    if max(abs(s), abs(e), t, abs(s + n * t), scale) < _EXACT_INT:
         k = np.arange(n + 1, dtype=np.int64)
         return np.minimum(s + t * k, e) / scale
-    return np.array([min(s + k * t, e) / scale for k in range(n + 1)])
+    return [min(s + k * t, e) / scale for k in range(n + 1)]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -193,16 +198,25 @@ def _cmd_thresholds(args, channel, grid) -> tuple[Iterable[str], int]:
     return [csv_text("key,value", pairs)], 0
 
 
+def _sweep_row(r) -> tuple:
+    """One sweep entry's CSV row: l1..l4 hold the winning spectrum."""
+    return (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *r.winning_spectrum())
+
+
 def _cmd_capacity(args, channel, grid) -> tuple[Iterable[str], int]:
     # The plain-float closed form, in the layout of one sweep entry.
     r = capacity_two_use(channel)
     if args.format == "json":
         return [json_text(r.to_dict())], 0
-    row = (r.mu, r.regime.value, r.c2, r.entropy_product, r.entropy_bell, *r.winning_spectrum())
-    return [csv_text(SWEEP_CSV_HEADER, [row])], 0
+    return [csv_text(SWEEP_CSV_HEADER, [_sweep_row(r)])], 0
 
 
 def _cmd_sweep(args, channel, grid) -> tuple[Iterable[str], int]:
+    if len(grid) <= _LIST_GRID_POINTS:  # the same bytes as the array route's writers
+        results = [capacity_two_use(channel.with_mu(mu)) for mu in grid]
+        if args.format == "json":
+            return [json_text([r.to_dict() for r in results])], 0
+        return [csv_text(SWEEP_CSV_HEADER, map(_sweep_row, results))], 0
     from .capacity import capacity_sweep, sweep_csv_blocks, sweep_json_blocks
 
     results = capacity_sweep(channel, grid)

@@ -121,19 +121,28 @@ class CapacityResult:
     optimal_state_descriptor: dict
 
     def __post_init__(self):
-        """Only a direct build or dataclasses.replace runs this: it holds each spectrum
-        as a 4-tuple of floats, refusing text and bools as PauliChannel does, and raises
-        InvalidSpectrum if the entropies, c2, regime or family do not follow from them
-        as capacity_two_use and capacity_sweep derive them."""
+        """Only a direct build or dataclasses.replace runs this. It holds mu, mu_ml and
+        mu_star as floats and each spectrum as a 4-tuple of floats, refusing text and
+        bools as PauliChannel does (OutOfRange for a memory value, InvalidSpectrum for
+        a spectrum entry). It raises InvalidSpectrum for a descriptor that is not a dict
+        holding "family", and if the entropies, c2, regime or family do not follow from
+        the spectra as capacity_two_use and capacity_sweep derive them."""
+        for name in ("mu", "mu_ml", "mu_star"):
+            value = _real(getattr(self, name), name + " {!r} is not a real number")
+            object.__setattr__(self, name, value)
         for name in ("lambdas_product", "lambdas_bell"):
             object.__setattr__(self, name, _spectrum(getattr(self, name), name))
+        descriptor = self.optimal_state_descriptor
+        if not (isinstance(descriptor, dict) and "family" in descriptor):
+            raise InvalidSpectrum(f"optimal_state_descriptor {descriptor!r} "
+                                  "is not a dict holding 'family'")
         s_p, s_b = _float_entropies([self.lambdas_product, self.lambdas_bell])
         regime = _regime(s_p, s_b)
         derived = {"entropy_product": (self.entropy_product, s_p),
                    "entropy_bell": (self.entropy_bell, s_b),
                    "c2": (self.c2, 1.0 - min(s_p, s_b) / 2.0),
                    "regime": (self.regime, regime),
-                   "family": (self.optimal_state_descriptor["family"],
+                   "family": (descriptor["family"],
                               "bell" if regime is _ENTANGLED else "product")}
         for name, (given, value) in derived.items():
             # A Regime equals its text ("product"); only the member itself follows.

@@ -614,7 +614,7 @@ class TestSweepGrid:
             for g in (grid, np.array(grid), [k / 10 for k in range(11)])
         ]
         for results in runs:
-            assert [r.mu for r in results] == grid.tolist()
+            assert [r.mu for r in results] == list(grid)
             assert all(type(r.mu) is float and type(r.c2) is float for r in results)
             assert [r.to_dict() for r in results] == [r.to_dict() for r in runs[0]]
 
@@ -721,36 +721,56 @@ class TestCapacityCurve:
         product[0] = bell[0] = 0.5
         assert twin == r and twin.lambdas_product == r.lambdas_product
 
-    @pytest.mark.parametrize("change, message", [
-        ({"lambdas_product": np.array([0.4, 0.3, 0.2, 0.1])},
+    @pytest.mark.parametrize("change, error, message", [
+        ({"lambdas_product": np.array([0.4, 0.3, 0.2, 0.1])}, InvalidSpectrum,
          "entropy_product 1.7002422497084273 does not follow from the spectra, "
          "which give 1.8464393446710154"),
-        ({"entropy_bell": 1.0},
+        ({"entropy_bell": 1.0}, InvalidSpectrum,
          "entropy_bell 1.0 does not follow from the spectra, which give 1.7689961527781786"),
-        ({"c2": 0.5}, "c2 0.5 does not follow from the spectra, which give 0.14987887514578635"),
-        ({"regime": Regime.ENTANGLED},
+        ({"c2": 0.5}, InvalidSpectrum,
+         "c2 0.5 does not follow from the spectra, which give 0.14987887514578635"),
+        ({"regime": Regime.ENTANGLED}, InvalidSpectrum,
          "regime <Regime.ENTANGLED: 'entangled'> does not follow from the spectra, "
          "which give <Regime.PRODUCT: 'product'>"),
-        ({"optimal_state_descriptor": {"family": "bell", "signs": [1, -1, 1]}},
+        ({"optimal_state_descriptor": {"family": "bell", "signs": [1, -1, 1]}}, InvalidSpectrum,
          "family 'bell' does not follow from the spectra, which give 'product'"),
         # Regime is a str Enum, equal to its text; only the member follows.
-        ({"regime": "product"},
+        ({"regime": "product"}, InvalidSpectrum,
          "regime 'product' does not follow from the spectra, "
          "which give <Regime.PRODUCT: 'product'>"),
-        ({"lambdas_product": [0.4, 0.3, 0.2, 0.1, 0.0]}, "lambdas_product holds 5 values, not 4"),
+        ({"lambdas_product": [0.4, 0.3, 0.2, 0.1, 0.0]}, InvalidSpectrum,
+         "lambdas_product holds 5 values, not 4"),
         # float() reads True as 1 and parses "1": unrefused, both were the pure spectrum.
-        ({"lambdas_product": [True, False, False, False]},
+        ({"lambdas_product": [True, False, False, False]}, InvalidSpectrum,
          "lambdas_product entry True is not a real number"),
-        ({"lambdas_bell": ["1", "0", "0", "0"]}, "lambdas_bell entry '1' is not a real number"),
-        ({"lambdas_bell": 0.5}, "lambdas_bell must be 4 real numbers, got 0.5"),
+        ({"lambdas_bell": ["1", "0", "0", "0"]}, InvalidSpectrum,
+         "lambdas_bell entry '1' is not a real number"),
+        ({"lambdas_bell": 0.5}, InvalidSpectrum, "lambdas_bell must be 4 real numbers, got 0.5"),
+        # Unrefused, to_dict wrote these into the JSON as text or true.
+        ({"mu": "0.3"}, OutOfRange, "mu '0.3' is not a real number"),
+        ({"mu": True}, OutOfRange, "mu True is not a real number"),
+        ({"mu_ml": False}, OutOfRange, "mu_ml False is not a real number"),
+        ({"mu_star": "x"}, OutOfRange, "mu_star 'x' is not a real number"),
+        # Unrefused, None raised a bare TypeError where the family is read.
+        ({"optimal_state_descriptor": None}, InvalidSpectrum,
+         "optimal_state_descriptor None is not a dict holding 'family'"),
+        ({"optimal_state_descriptor": {"l": 1}}, InvalidSpectrum,
+         "optimal_state_descriptor {'l': 1} is not a dict holding 'family'"),
     ], ids=["spectrum", "entropy", "c2", "regime", "family", "regime-text", "five-values",
-            "bool-entries", "text-entries", "not-iterable"])
-    def test_init_refuses_fields_the_spectra_contradict(self, change, message):
+            "bool-entries", "text-entries", "not-iterable", "mu-text", "mu-bool",
+            "mu-ml-bool", "mu-star-text", "descriptor-none", "descriptor-no-family"])
+    def test_init_refuses_fields_the_spectra_contradict(self, change, error, message):
         r = capacity_two_use(self.BASE.with_mu(0.3))
         assert r.regime is Regime.PRODUCT
-        with pytest.raises(InvalidSpectrum) as exc:
+        with pytest.raises(error) as exc:
             dataclasses.replace(r, **change)
-        assert str(exc.value) == message
+        assert type(exc.value) is error and str(exc.value) == message
+
+    def test_init_holds_the_memory_values_as_floats(self):
+        r = capacity_two_use(self.BASE.with_mu(0.3))
+        twin = dataclasses.replace(r, mu=np.float64(0.3), mu_ml=np.float32(0.5), mu_star=1)
+        assert [twin.mu, twin.mu_ml, twin.mu_star] == [0.3, 0.5, 1.0]
+        assert [type(twin.mu), type(twin.mu_ml), type(twin.mu_star)] == [float] * 3
 
     def test_owns_its_grid(self):
         grid = np.linspace(0.0, 1.0, 5)

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from paulimem import PureStateParams, __main__ as program, capacity, cli, oracle
+from paulimem import PauliChannel, PureStateParams, __main__ as program, capacity, cli, oracle
 from paulimem.closed_form import format_number
 from paulimem.cli import _parse_grid, main
 
@@ -128,17 +128,20 @@ class TestCapacityAndSweep:
             assert (code, out) == (2, "")
             assert err.startswith("error: argument --mu-grid: ") and err.count("\n") == 1
 
-    def test_grid_steps_land_on_decimal_values(self):
-        assert _parse_grid("0:1:0.1").tolist() == [k / 10 for k in range(11)]
-        assert _parse_grid("0:1:0.01").tolist() == [k / 100 for k in range(101)]
-        assert _parse_grid("0:1:0.125").tolist() == [k / 8 for k in range(9)]
-        assert _parse_grid("0:1:0.3").tolist() == [0.0, 0.3, 0.6, 0.9]
-        assert _parse_grid("0:1:0.6").tolist() == [0.0, 0.6, 1.0]  # end kept within half a step
+    def test_grid_steps_land_on_decimal_values(self, monkeypatch):
+        for list_points in (cli._LIST_GRID_POINTS, 0):  # a list, then an array where exact
+            monkeypatch.setattr(cli, "_LIST_GRID_POINTS", list_points)
+            assert list(_parse_grid("0:1:0.1")) == [k / 10 for k in range(11)]
+            assert list(_parse_grid("0:1:0.01")) == [k / 100 for k in range(101)]
+            assert list(_parse_grid("0:1:0.125")) == [k / 8 for k in range(9)]
+            assert list(_parse_grid("0:1:0.3")) == [0.0, 0.3, 0.6, 0.9]
+            assert list(_parse_grid("0:1:0.6")) == [0.0, 0.6, 1.0]  # end kept within half a step
 
-    def test_grid_values_equal_the_decimal_loop(self):
-        # Below 2^53 the grid is one integer array division; past it, a loop
-        # over exact integers. Both must give float(min(start + k step, end))
-        # of the exact rationals, with k up to floor((end - start) / step + 1/2).
+    def test_grid_values_equal_the_decimal_loop(self, monkeypatch):
+        # A grid of at most _LIST_GRID_POINTS points is a loop over exact integers;
+        # a larger one is one integer array division below 2^53, and that loop past
+        # it. Each must give float(min(start + k step, end)) of the exact rationals,
+        # with k up to floor((end - start) / step + 1/2); these grids run both ways.
         texts = ["0:1:0.1", "0:1:0.3", "0:1:0.6", "-0:0:1", "-0.0:1:0.25", "0.1:0.95:0.2",
                  "1e-3:2e-2:1E-3", "1E+2:1E+3:5E+1", "0.10:0.9:0.10", "-1.5:1.5:0.7",
                  # past 28 digits: Decimal's default context rounds these
@@ -165,13 +168,15 @@ class TestCapacityAndSweep:
         for k in range(20):
             for side in (-1, 1):
                 texts.append(f"0:{(2 * k + 1) * 15 * 10**33 + side}E-35:0.3")
-        for text in texts:
-            start, end, step = (Fraction(Decimal(p)) for p in text.split(":"))
-            n = math.floor((end - start) / step + Fraction(1, 2))
-            want = [float(min(start + k * step, end)) for k in range(n + 1)]
-            assert [x.hex() for x in _parse_grid(text)] == [x.hex() for x in want], text
-        assert _parse_grid(texts[10]).tolist() == [0.0, 0.4]
-        assert _parse_grid(texts[11]).tolist() == [float(texts[11].split(":")[0])]
+        for list_points in (cli._LIST_GRID_POINTS, 0):
+            monkeypatch.setattr(cli, "_LIST_GRID_POINTS", list_points)
+            for text in texts:
+                start, end, step = (Fraction(Decimal(p)) for p in text.split(":"))
+                n = math.floor((end - start) / step + Fraction(1, 2))
+                want = [float(min(start + k * step, end)) for k in range(n + 1)]
+                assert [x.hex() for x in _parse_grid(text)] == [x.hex() for x in want], text
+            assert list(_parse_grid(texts[10])) == [0.0, 0.4]
+            assert list(_parse_grid(texts[11])) == [float(texts[11].split(":")[0])]
 
     def test_grid_size_bound_checked_before_building(self, monkeypatch):
         # Only the count is computed before the check, so none of these
@@ -191,7 +196,7 @@ class TestCapacityAndSweep:
         grid = _parse_grid("0:0.10000004999999999999999999999999:0.0000001")
         assert len(grid) == 1_000_001 and grid[-1] == 0.1
         monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 2)
-        assert _parse_grid("0:0.59999999999999999999999999999999:0.4").tolist() == [0.0, 0.4]
+        assert list(_parse_grid("0:0.59999999999999999999999999999999:0.4")) == [0.0, 0.4]
         with pytest.raises(argparse.ArgumentTypeError, match="more than 2 points"):
             _parse_grid("0:0.6:0.4")
 
@@ -202,9 +207,9 @@ class TestCapacityAndSweep:
                      "1e400:1e400:1"):
             with pytest.raises(argparse.ArgumentTypeError, match="grid out of range"):
                 _parse_grid(text)
-        assert _parse_grid("1e-1099:1:0.5").tolist() == [0.0, 0.5, 1.0]
-        assert _parse_grid("0:1:0.5" + "0" * 1097 + "1").tolist() == [0.0, 0.5, 1.0]
-        assert _parse_grid("0e-5000:1:0.5").tolist() == [0.0, 0.5, 1.0]  # zeros have no decimals
+        assert list(_parse_grid("1e-1099:1:0.5")) == [0.0, 0.5, 1.0]
+        assert list(_parse_grid("0:1:0.5" + "0" * 1097 + "1")) == [0.0, 0.5, 1.0]
+        assert list(_parse_grid("0e-5000:1:0.5")) == [0.0, 0.5, 1.0]  # zeros have no decimals
 
     def test_json_has_no_negative_zero(self, capsys):
         # A pure output spectrum has entropy +0.0; JSON must not print -0.0.
@@ -712,16 +717,23 @@ class TestFlagsEachCommandReads:
 
 
 Q = ["--q", "0.2,0.1,0.3,0.4"]
-# Each run with its exit code: the point commands, and usage and input errors.
+# Each run with its exit code: the point commands, a sweep of at most
+# cli._LIST_GRID_POINTS points, and usage and input errors.
 NO_NUMPY_RUNS = [
     ([*Q, "--mu", "0.5", *fmt, command], 0)
     for command in ("capacity", "params") for fmt in ([], ["--format", "json"])
 ] + [([*Q, *fmt, "thresholds"], 0) for fmt in ([], ["--format", "json"])] + [
-    (["--config", "{bad_config}", "capacity"], 2),
+    ([*Q, "--mu-grid", "0:1:0.01", *fmt, "sweep"], 0)
+    for fmt in ([], ["--format", "json"], ["--out", "{tmp}/sweep.csv"])
+] + [
+    ([*Q, "--mu-grid", "0:1:0.01", "sweep", "--out", "{tmp}/missing/sweep.csv"], 2),
+    (["--config", "{tmp}/bad.json", "capacity"], 2),
     (["--help"], 0),
     ([*Q, "--mu", "0.5", "--sede", "1", "capacity"], 2),
     (["--q", "0.2,0.1", "--mu", "0.5", "capacity"], 2),
 ]
+# A sweep one point past the list route, which runs on numpy arrays.
+ARRAY_SWEEP = [*Q, "--mu-grid", f"0:{cli._LIST_GRID_POINTS}e-6:1e-6", "sweep"]
 
 
 class TestImports:
@@ -809,16 +821,16 @@ class TestImports:
             "import sys\n"
             "from paulimem.cli import main\n"
             "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu', '0.5', 'capacity']) == 0\n"
-            "assert main(['--q', '0.2,0.1,0.3,0.4', '--mu-grid', '0:1:0.5', 'sweep',\n"
-            "             '--out', sys.argv[1]]) == 0\n"
+            "for grid in ('0:1:0.5', sys.argv[2]):  # the list and the array route\n"
+            "    assert main(['--q', '0.2,0.1,0.3,0.4', '--mu-grid', grid, 'sweep',\n"
+            "                 '--out', sys.argv[1]]) == 0\n"
             "assert 'paulimem.oracle' not in sys.modules\n"
         )
-        proc = self._python(script, str(tmp_path / "sweep.csv"))
+        proc = self._python(script, str(tmp_path / "sweep.csv"), ARRAY_SWEEP[3])
         assert proc.returncode == 0, proc.stderr
 
     def test_point_commands_and_errors_load_no_numpy(self, tmp_path):
-        bad_config = tmp_path / "bad.json"
-        bad_config.write_text('{"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"}')
+        (tmp_path / "bad.json").write_text('{"q": [0.2, 0.1, 0.3, 0.4], "mu": "abc"}')
         script = (
             "import json, sys\n"
             "from paulimem.cli import main\n"
@@ -830,13 +842,24 @@ class TestImports:
             "    assert code == want, (argv, code)\n"
             "    assert 'numpy' not in sys.modules, argv\n"
         )
-        runs = [([a.format(bad_config=bad_config) for a in argv], code)
-                for argv, code in NO_NUMPY_RUNS]
+        runs = [([a.format(tmp=tmp_path) for a in argv], code) for argv, code in NO_NUMPY_RUNS]
         proc = self._python(script, json.dumps(runs))
         assert proc.returncode == 0, proc.stderr
+        assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 102
+
+    def test_small_sweep_program_loads_no_numpy(self):
+        # -X importtime names every module a fresh `python -m paulimem` imports.
+        argv = [*Q, "--mu-grid", "0:1:0.01", "sweep"]
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "paulimem", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert len(proc.stdout.splitlines()) == 102
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()]
+        assert "paulimem.cli" in imported
+        assert [m for m in imported if m.split(".")[0] == "numpy"] == []
 
     @pytest.mark.parametrize("argv", [
-        [*Q, "--mu-grid", "0:1:0.5", "sweep"],
+        ARRAY_SWEEP,
         [*Q, "--mu", "0.5", "--grid-points", "1", "--restarts", "1", "verify"],
     ], ids=["sweep", "verify"])
     def test_sweep_and_verify_load_numpy(self, argv):
@@ -865,6 +888,46 @@ class TestImports:
         )
         proc = self._python(script)
         assert proc.returncode == 0, proc.stderr
+
+
+class TestSweepRoutes:
+    """A sweep of at most cli._LIST_GRID_POINTS points runs point by point on the
+    plain-float closed form, a larger one on numpy arrays; each grid is run here
+    both ways, with the bound set to 0 (arrays) and to the grid's size (list)."""
+
+    N = cli._LIST_GRID_POINTS
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("points", [1, N, N + 1], ids=["1", "N", "N+1"])
+    def test_bytes_at_the_route_boundary(self, capsys, monkeypatch, fmt, points):
+        # From 0.3 in steps of 1e-4, so that the larger grids cross Q's mu_star ~ 0.3876.
+        start, step = Decimal("0.3"), Decimal("1e-4")
+        text = f"{start}:{start + (points - 1) * step}:{step}"
+        grid = [float(start + k * step) for k in range(points)]
+        assert list(_parse_grid(text)) == grid
+        assert isinstance(_parse_grid(text), list) == (points <= self.N)
+        curve = capacity.capacity_sweep(PauliChannel((0.2, 0.1, 0.3, 0.4), 0.0), np.array(grid))
+        want = (capacity.sweep_to_json if fmt == "json" else capacity.sweep_to_csv)(curve)
+        assert len(set(curve.entropies.argmin(axis=1).tolist())) == (1 if points == 1 else 2)
+        swept, sweep = [], capacity.capacity_sweep
+        monkeypatch.setattr(capacity, "capacity_sweep", lambda *a: swept.append(a) or sweep(*a))
+        for list_points in (0, points):
+            monkeypatch.setattr(cli, "_LIST_GRID_POINTS", list_points)
+            assert run_cli(capsys, *Q, "--mu-grid", text, "--format", fmt, "sweep") == (0, want, "")
+        assert len(swept) == 1  # only with the bound at 0
+
+    @pytest.mark.parametrize("text, points, bad", [
+        ("0:1.5:0.5", 4, "1.5"),
+        ("-0.5:1:0.5", 4, "-0.5"),
+        (f"0:1.5:{Decimal(1) / N}", 3 * N // 2 + 1, repr(float(1 + Decimal(1) / N))),
+    ], ids=["past-1", "below-0", "past-1-over-N-points"])
+    def test_out_of_range_grid_is_one_error_line_on_both_routes(self, capsys, monkeypatch,
+                                                                text, points, bad):
+        assert len(_parse_grid(text)) == points
+        for list_points in (0, points):
+            monkeypatch.setattr(cli, "_LIST_GRID_POINTS", list_points)
+            assert run_cli(capsys, *Q, f"--mu-grid={text}", "sweep") == (
+                2, "", f"error: mu outside [0, 1]: {bad}\n")
 
 
 class TestVerify:
