@@ -21,9 +21,9 @@ from .channel import _params
 from .closed_form import _NUMBER_SPEC, _SPECTRUM_TOL, _TIE_TOL, SWEEP_CSV_HEADER, CapacityResult
 from .closed_form import Regime, _float_entropies, _result, _spectrum_values, capacity_two_use
 from .closed_form import json_text
-from .errors import InvalidSpectrum, InvalidState, OutOfRange
+from .errors import InvalidSpectrum, InvalidState
 from .pauli import PAULI2, SIGN_TABLE
-from .states import _checked_weights, checked_array
+from .states import _checked_mu_grid, _checked_weights, checked_array
 
 _TRACE_TOL = 1e-9
 _ENSEMBLE_ENTROPY_TOL = 1e-10
@@ -217,16 +217,6 @@ class CapacityCurve(Sequence):
         s_p, s_b = self.entropies[i].tolist()
         lam_p, lam_b = map(tuple, self.spectra[i].tolist())
         return _result(self.mu[i].item(), lam_p, lam_b, s_p, s_b, self.l, self.thresholds)
-
-
-def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
-    """mu_grid as a 1-D float array, checked by checked_array; raises OutOfRange naming
-    its first value outside [0, 1]."""
-    mu = checked_array(mu_grid, (None,), float, OutOfRange, "mu grid")
-    bad = (mu < 0.0) | (mu > 1.0)
-    if bad.any():
-        channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
-    return mu
 
 
 def capacity_sweep(channel_base: PauliChannel, mu_grid) -> CapacityCurve:

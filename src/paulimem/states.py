@@ -6,6 +6,8 @@ family covers every pure two-qubit state up to an irrelevant global phase.
 
 checked_array, the one check every public function that takes an array makes
 first, lives here, beside numpy: the channel core and the errors import none.
+So does _checked_mu_grid, the memory-grid check that capacity_sweep and the
+oracle's grid share, so that neither imports the other's module for it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from math import cos, sin
 
 import numpy as np
 
+from .channel import PauliChannel
 from .errors import BadIndex, InvalidState, NonHermitian, NonNormalized, NotPure, OutOfRange
 from .errors import is_integer
 from .pauli import PAULI2, SIGMA
@@ -44,6 +47,16 @@ def checked_array(x, shape: tuple, dtype, error: type, name: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise error(f"{name} is NaN" if np.isnan(a).any() else f"{name} is not finite")
     return a
+
+
+def _checked_mu_grid(channel_base: PauliChannel, mu_grid) -> np.ndarray:
+    """mu_grid as a 1-D float array, checked by checked_array; raises OutOfRange naming
+    its first value outside [0, 1]."""
+    mu = checked_array(mu_grid, (None,), float, OutOfRange, "mu grid")
+    bad = (mu < 0.0) | (mu > 1.0)
+    if bad.any():
+        channel_base.with_mu(mu[np.argmax(bad)])  # raises, naming the value
+    return mu
 
 
 @dataclass(frozen=True)

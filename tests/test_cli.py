@@ -872,6 +872,22 @@ class TestImports:
         proc = self._python(script, *argv)
         assert proc.returncode == 0, proc.stderr
 
+    def test_verify_loads_neither_numpy_random_nor_the_capacity_module(self):
+        # The Haar starts come from the standard library's generator. numpy 1
+        # imports numpy.random with numpy itself, so verify is held to a bare import.
+        script = (
+            "import sys\n"
+            "from paulimem.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "assert 'numpy' in sys.modules\n"
+            "assert 'paulimem.capacity' not in sys.modules\n"
+            "print('numpy.random' in sys.modules)\n"
+        )
+        proc = self._python(script, *VERIFY_ARGV)
+        assert proc.returncode == 0, proc.stderr
+        bare = self._python("import sys, numpy\nprint('numpy.random' in sys.modules)")
+        assert proc.stdout.splitlines()[-1] == bare.stdout.strip()
+
     def test_json_writer_loads_no_module(self):
         # np.unique loads numpy.ma on numpy 2; numpy 1 loads it with numpy itself.
         script = (

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from dataclasses import asdict
 
@@ -517,9 +518,50 @@ class TestGridStage:
                 seen.add(proj[k].tobytes())
                 best.append(k)
         best = best[: oracle._REFINEMENTS]
-        gauss = np.random.default_rng(cfg.seed).standard_normal((2, 8)).view(complex)
+        # Box-Muller over 16 uniforms of the standard library's stream, (2, 2, 4)
+        draw = random.Random(cfg.seed).random
+        u = np.array([draw() for _ in range(16)]).reshape(2, 2, 4)
+        gauss = np.sqrt(-2.0 * np.log1p(-u[0])) * np.exp(2j * np.pi * u[1])
         expected = np.vstack([cells[best], gauss / np.linalg.norm(gauss, axis=1, keepdims=True)])
         assert len(starts) == 1 and starts[0].tobytes() == expected.tobytes()
+
+    @staticmethod
+    def _haar_starts(monkeypatch, channel, seed):
+        """The 1,000 Haar starts of one search, taken at the refinement, which is skipped."""
+        starts = []
+        monkeypatch.setattr(oracle, "_refine", lambda x, m: starts.append(x) or (
+            np.zeros(len(x)), x, 0, False))
+        min_entropy_bruteforce(channel, SearchConfig(grid_points_per_angle=1, restarts=1000,
+                                                     seed=seed))
+        return starts[0][-1000:]
+
+    def test_haar_starts_are_uniform(self, monkeypatch):
+        # Haar-uniform unit 4-vectors v: E|v_k|^2 = 1/4, E v_k = 0 and
+        # E v_j conj(v_k) = 0 for j != k, each checked within 5 standard errors.
+        # The first three hold for any radius law with uniform phases; |v_k|^2 is
+        # Beta(1, 3), so E|v_k|^4 = 1/10 checks the radius law as well
+        ch = PauliChannel(ILLUSTRATION_Q, 0.5)
+        v = np.vstack([self._haar_starts(monkeypatch, ch, seed) for seed in range(4)])
+        assert v.shape == (4000, 4)
+        assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() <= 1e-12
+        j, k = np.triu_indices(4, 1)
+        for sample, mean in [
+            (np.abs(v) ** 2, 0.25),
+            (np.abs(v) ** 4, 0.1),
+            (v.real, 0.0),
+            (v.imag, 0.0),
+            ((v[:, j] * v[:, k].conj()).real, 0.0),
+            ((v[:, j] * v[:, k].conj()).imag, 0.0),
+        ]:
+            se = sample.std(axis=0) / np.sqrt(len(sample))
+            assert (np.abs(sample.mean(axis=0) - mean) <= 5.0 * se).all()
+
+    def test_haar_starts_depend_on_the_seed_alone(self, monkeypatch):
+        first = self._haar_starts(monkeypatch, PauliChannel(ILLUSTRATION_Q, 0.5), 7)
+        again = self._haar_starts(monkeypatch, depolarizing(0.25, 0.3), 7)
+        other = self._haar_starts(monkeypatch, PauliChannel(ILLUSTRATION_Q, 0.5), 8)
+        assert first.tobytes() == again.tobytes()
+        assert not np.isin(first, other).any()
 
     def test_grid_stage_cost(self, monkeypatch):
         # a count, not a time: the grid stage diagonalizes each bitwise-distinct
